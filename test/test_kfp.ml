@@ -206,9 +206,48 @@ let test_extract_packed_degenerate () =
         (Features.extract_packed (Stob_net.Packed_trace.of_trace t) = Features.extract t))
     [ [||]; [| ev 0.0 out 52 |]; [| ev 1.0 inc 0; ev 1.0 inc 0 |]; sample_trace () ]
 
+(* --- Golden feature values --- *)
+
+(* A fixed corpus: one simulated visit per paper site plus the degenerate
+   traces used above.  Every feature value is rendered with [%h] (exact
+   hex float) and digested, so any change to any feature of any trace —
+   down to the last bit — fails this test.  Recompute the constant only
+   for an intended change to the feature set. *)
+let golden_corpus () =
+  let dataset = Stob_web.Dataset.generate ~samples_per_site:1 ~seed:42 () in
+  Array.to_list (Array.map (fun s -> s.Stob_web.Dataset.trace) dataset.Stob_web.Dataset.samples)
+  @ [
+      Trace.empty;
+      [| ev 0.0 out 52 |];
+      [| ev 0.0 out 60 |];
+      [| ev 0.0 inc 1500 |];
+      [| ev 1.0 inc 0; ev 1.0 inc 0 |];
+      [| ev 0.0 out 1; ev 0.1 out 1; ev 0.2 inc 1; ev 0.3 inc 1; ev 0.4 inc 1; ev 0.5 out 1 |];
+      sample_trace ();
+      Trace.prefix (sample_trace ()) 3;
+    ]
+
+let features_digest featurize corpus =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun t ->
+      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%h;" v)) (featurize t);
+      Buffer.add_char buf '\n')
+    corpus;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_digest = "ce90f6aff1124e0d61144606a7145db5"
+
+let test_golden_features () =
+  let corpus = golden_corpus () in
+  Alcotest.(check string) "extract digest" golden_digest (features_digest Features.extract corpus);
+  Alcotest.(check string) "extract_packed digest" golden_digest
+    (features_digest (fun t -> Features.extract_packed (Stob_net.Packed_trace.of_trace t)) corpus)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
+    ("kfp.golden", [ Alcotest.test_case "feature values pinned" `Quick test_golden_features ]);
     ( "kfp.packed",
       [
         Alcotest.test_case "degenerate traces" `Quick test_extract_packed_degenerate;
