@@ -710,7 +710,21 @@ let run_dfnet ?pool ~smoke () =
    throughput.  Gates pop-sequence parity in every run; the full run also
    gates the >= 3x events/sec claim and records BENCH_sim.json. *)
 
-module Eq = Stob_sim.Event_queue
+module type QUEUE = sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val push : 'a t -> time:float -> 'a -> unit
+  val pop : 'a t -> (float * 'a) option
+end
+
+module Heap : QUEUE = Stob_sim.Heap_queue
+
+module Wheel : QUEUE = struct
+  include Stob_sim.Timing_wheel
+
+  let create () = create ()
+end
 
 (* Classic hold model: the queue sits at a constant size while each step
    pops the earliest event and reschedules it a random increment later —
@@ -728,28 +742,28 @@ let simperf_increments ~n ~seed =
       else if r < 0.90 then Stob_util.Rng.uniform rng 0.01 0.1
       else Stob_util.Rng.uniform rng 0.2 1.0)
 
-let simperf_hold impl ~queue_size ~ops ~increments =
-  let q = Eq.create_impl impl in
+let simperf_hold (module Q : QUEUE) ~queue_size ~ops ~increments =
+  let q = Q.create () in
   let m = Array.length increments in
   let t = ref 0.0 in
   for i = 0 to queue_size - 1 do
     t := !t +. increments.(i mod m);
-    Eq.push q ~time:!t i
+    Q.push q ~time:!t i
   done;
   let start = Unix.gettimeofday () in
   for i = 0 to ops - 1 do
-    match Eq.pop q with
+    match Q.pop q with
     | None -> assert false
-    | Some (time, v) -> Eq.push q ~time:(time +. increments.(i mod m)) v
+    | Some (time, v) -> Q.push q ~time:(time +. increments.(i mod m)) v
   done;
   Unix.gettimeofday () -. start
 
 (* Pop-sequence parity on a randomized mixed push/pop schedule: the wheel
    must replay the heap exactly, (time, insertion order) both. *)
 let simperf_parity ~steps ~seed =
-  let run impl =
+  let run (module Q : QUEUE) =
     let rng = Stob_util.Rng.create seed in
-    let q = Eq.create_impl impl in
+    let q = Q.create () in
     let popped = ref [] in
     let time = ref 0.0 in
     for i = 0 to steps - 1 do
@@ -757,12 +771,12 @@ let simperf_parity ~steps ~seed =
         time := !time +. Stob_util.Rng.float rng 0.002;
         (* Same-instant bursts: every third push duplicates its timestamp. *)
         let t = if i mod 3 = 0 then !time else !time +. Stob_util.Rng.float rng 1.0 in
-        Eq.push q ~time:t i
+        Q.push q ~time:t i
       end
-      else popped := Eq.pop q :: !popped
+      else popped := Q.pop q :: !popped
     done;
     let rec drain () =
-      match Eq.pop q with
+      match Q.pop q with
       | Some _ as p ->
           popped := p :: !popped;
           drain ()
@@ -770,7 +784,7 @@ let simperf_parity ~steps ~seed =
     in
     drain ()
   in
-  run Eq.Heap = run Eq.Wheel
+  run (module Heap) = run (module Wheel)
 
 let run_simperf ~smoke () =
   hr (if smoke then "Simulator benchmark (smoke)" else "Simulator benchmark");
@@ -789,8 +803,8 @@ let run_simperf ~smoke () =
     done;
     !b
   in
-  let t_heap = best (fun () -> simperf_hold Eq.Heap ~queue_size ~ops ~increments) in
-  let t_wheel = best (fun () -> simperf_hold Eq.Wheel ~queue_size ~ops ~increments) in
+  let t_heap = best (fun () -> simperf_hold (module Heap) ~queue_size ~ops ~increments) in
+  let t_wheel = best (fun () -> simperf_hold (module Wheel) ~queue_size ~ops ~increments) in
   let heap_eps = float_of_int ops /. t_heap in
   let wheel_eps = float_of_int ops /. t_wheel in
   let speedup = wheel_eps /. heap_eps in

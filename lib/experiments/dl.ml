@@ -10,9 +10,9 @@ type row = { attack : string; original : float; defended : float }
 
 (* Everything one corpus contributes to the sweep, computed once up front:
    the 70/30 split, the k-FP feature rows and the DF direction tensor.
-   The old harness re-ran Dfnet.encode / Features.extract at every call
-   site; cells now share these read-only arrays, so each corpus is encoded
-   exactly once however many attacks consume it. *)
+   The old harness re-encoded and re-featurized at every call site; cells
+   now share these read-only arrays, so each corpus is encoded exactly
+   once however many attacks consume it. *)
 type prepared = {
   fingerprint : string;
   train_labels : int array;

@@ -9,11 +9,6 @@ module Rng = Stob_util.Rng
 
 let input_length = 600
 
-let encode trace =
-  Array.init input_length (fun i ->
-      if i < Trace.length trace then float_of_int (Packet.direction_sign trace.(i).Trace.dir)
-      else 0.0)
-
 let encode_batch traces =
   let n = Array.length traces in
   let t = Tensor.create n input_length in
@@ -26,22 +21,11 @@ let encode_batch traces =
     traces;
   t
 
-(* Straight off the packed meta lane (bit 0 is the direction), no
-   per-event record or Trace.t materialized — the zero-copy path for the
-   population corpus. *)
+(* Only the first [input_length] events are read, so only that prefix (a
+   zero-copy view) is unpacked. *)
 let encode_packed traces =
-  let n = Array.length traces in
-  let t = Tensor.create n input_length in
-  Array.iteri
-    (fun i packed ->
-      let meta = Packed_trace.raw_meta packed in
-      let len = min (Packed_trace.length packed) input_length in
-      for p = 0 to len - 1 do
-        let dir_bit = Int32.to_int (Bigarray.Array1.unsafe_get meta p) land 1 in
-        Tensor.set t i p (if dir_bit = 1 then 1.0 else -1.0)
-      done)
-    traces;
-  t
+  encode_batch
+    (Array.map (fun pt -> Packed_trace.to_trace (Packed_trace.prefix pt input_length)) traces)
 
 type t = Network.t
 

@@ -27,16 +27,13 @@ type t = Stob_nn.Network.t
 val input_length : int
 (** Number of leading packet directions consumed (600). *)
 
-val encode : Stob_net.Trace.t -> float array
-(** Signed-direction encoding, zero-padded/truncated to {!input_length}. *)
-
 val encode_batch : Stob_net.Trace.t array -> Stob_nn.Tensor.t
-(** One {!encode}d row per trace. *)
+(** One row per trace: the signed-direction encoding (+1 outgoing, -1
+    incoming) of its first {!input_length} packets, zero-padded. *)
 
 val encode_packed : Stob_net.Packed_trace.t array -> Stob_nn.Tensor.t
-(** {!encode_batch} for packed traces, reading direction bits straight off
-    the raw meta lane — no per-event records, no [Trace.t] round trip.
-    Row [i] equals [encode (Packed_trace.to_trace traces.(i))] exactly. *)
+(** [encode_batch (Array.map Packed_trace.to_trace traces)], unpacking
+    only the first {!input_length} events of each trace. *)
 
 val build : rng:Stob_util.Rng.t -> n_classes:int -> t
 (** The DF architecture on the batched engine. *)

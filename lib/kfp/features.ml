@@ -76,11 +76,6 @@ let packets_per_bucket trace ~bucket =
     counts
   end
 
-let time_percentiles times = List.map (Stats.percentile times) [ 25.0; 50.0; 75.0; 100.0 ]
-
-let interarrival_block gaps =
-  [ Stats.max_ gaps; Stats.mean gaps; Stats.std gaps; Stats.percentile gaps 75.0 ]
-
 (* Positions (indices) of packets of one direction within the trace. *)
 let positions trace dir =
   let pos = ref [] in
@@ -89,101 +84,48 @@ let positions trace dir =
 
 let safe_frac num den = if den = 0.0 then 0.0 else num /. den
 
-(* Everything [assemble] needs, precomputed from either representation.
-   The two view builders below must compute each field with the same
-   formulas — the kfp.packed parity test holds them to bit-identical
-   feature vectors. *)
-type view = {
-  n : float;
-  n_in : float;
-  n_out : float;
-  bytes_total : float;
-  bytes_in : float;
-  bytes_out : float;
-  sizes_in : float array;
-  sizes_out : float array;
-  gaps : float array;
-  gaps_in : float array;
-  gaps_out : float array;
-  rel_times : float array;
-  rel_times_in : float array;
-  rel_times_out : float array;
-  pos_out : float array;
-  pos_in : float array;
-  conc : float array;
-  pps : float array;
-  first30_in : float;
-  first30_out : float;
-  last30_in : float;
-  last30_out : float;
-  bursts_out : float array;
-  bursts_in : float array;
-  cumul : float array;
-  duration : float;
-}
+(* Timestamps of one direction (or all), relative to the first packet. *)
+let rel_times ?dir trace =
+  let ts = Trace.times ?dir trace in
+  if Trace.length trace = 0 then [||]
+  else
+    let t0 = trace.(0).Trace.time in
+    Array.map (fun t -> t -. t0) ts
 
-let view_of_trace trace =
-  let rel_times_dir dir =
-    let ts = Trace.times ~dir trace in
-    let all = Trace.times trace in
-    if Array.length all = 0 then [||] else Array.map (fun t -> t -. all.(0)) ts
-  in
+let time_percentiles ?dir trace =
+  let times = rel_times ?dir trace in
+  List.map
+    (fun (name, p) -> (name, Stats.percentile times p))
+    [ ("p25", 25.0); ("p50", 50.0); ("p75", 75.0); ("p100", 100.0) ]
+
+let interarrival_block ?dir trace =
+  let gaps = Trace.interarrivals ?dir trace in
+  [ ("max", Stats.max_ gaps); ("mean", Stats.mean gaps); ("std", Stats.std gaps);
+    ("p75", Stats.percentile gaps 75.0) ]
+
+let named_features trace =
+  let count dir t = float_of_int (Trace.count ~dir t)
+  and bytes dir = float_of_int (Trace.bytes ~dir trace) in
+  let n = float_of_int (Trace.length trace)
+  and n_in = count Packet.Incoming trace
+  and n_out = count Packet.Outgoing trace
+  and bytes_total = float_of_int (Trace.bytes trace)
+  and bytes_in = bytes Packet.Incoming
+  and bytes_out = bytes Packet.Outgoing
+  and sizes_in = Trace.sizes ~dir:Packet.Incoming trace
+  and sizes_out = Trace.sizes ~dir:Packet.Outgoing trace
+  and pos_out = positions trace Packet.Outgoing
+  and pos_in = positions trace Packet.Incoming
+  and conc = concentration trace
+  and pps = packets_per_bucket trace ~bucket:0.25
+  and bursts_out = burst_lengths trace Packet.Outgoing
+  and bursts_in = burst_lengths trace Packet.Incoming
+  and cumul = Stats.cumulative (Trace.signed_sizes trace) in
   let first30 = Trace.prefix trace 30 in
   let last30 =
     let len = Trace.length trace in
-    if len <= 30 then Array.copy trace else Array.sub trace (len - 30) 30
+    if len <= 30 then trace else Array.sub trace (len - 30) 30
   in
-  {
-    n = float_of_int (Trace.length trace);
-    n_in = float_of_int (Trace.count ~dir:Packet.Incoming trace);
-    n_out = float_of_int (Trace.count ~dir:Packet.Outgoing trace);
-    bytes_total = float_of_int (Trace.bytes trace);
-    bytes_in = float_of_int (Trace.bytes ~dir:Packet.Incoming trace);
-    bytes_out = float_of_int (Trace.bytes ~dir:Packet.Outgoing trace);
-    sizes_in = Trace.sizes ~dir:Packet.Incoming trace;
-    sizes_out = Trace.sizes ~dir:Packet.Outgoing trace;
-    gaps = Trace.interarrivals trace;
-    gaps_in = Trace.interarrivals ~dir:Packet.Incoming trace;
-    gaps_out = Trace.interarrivals ~dir:Packet.Outgoing trace;
-    rel_times =
-      (let ts = Trace.times trace in
-       if Array.length ts = 0 then [||] else Array.map (fun t -> t -. ts.(0)) ts);
-    rel_times_in = rel_times_dir Packet.Incoming;
-    rel_times_out = rel_times_dir Packet.Outgoing;
-    pos_out = positions trace Packet.Outgoing;
-    pos_in = positions trace Packet.Incoming;
-    conc = concentration trace;
-    pps = packets_per_bucket trace ~bucket:0.25;
-    first30_in = float_of_int (Trace.count ~dir:Packet.Incoming first30);
-    first30_out = float_of_int (Trace.count ~dir:Packet.Outgoing first30);
-    last30_in = float_of_int (Trace.count ~dir:Packet.Incoming last30);
-    last30_out = float_of_int (Trace.count ~dir:Packet.Outgoing last30);
-    bursts_out = burst_lengths trace Packet.Outgoing;
-    bursts_in = burst_lengths trace Packet.Incoming;
-    cumul = Stats.cumulative (Trace.signed_sizes trace);
-    duration = Trace.duration trace;
-  }
-
-let assemble v =
-  let n = v.n
-  and n_in = v.n_in
-  and n_out = v.n_out
-  and bytes_total = v.bytes_total
-  and bytes_in = v.bytes_in
-  and bytes_out = v.bytes_out
-  and sizes_in = v.sizes_in
-  and sizes_out = v.sizes_out
-  and gaps = v.gaps
-  and gaps_in = v.gaps_in
-  and gaps_out = v.gaps_out
-  and rel_times = v.rel_times
-  and pos_out = v.pos_out
-  and pos_in = v.pos_in
-  and conc = v.conc
-  and pps = v.pps
-  and bursts_out = v.bursts_out
-  and bursts_in = v.bursts_in
-  and cumul = v.cumul in
   let block name values = List.map (fun (suffix, v) -> (name ^ "." ^ suffix, v)) values in
   let stats_named prefix a =
     block prefix
@@ -213,25 +155,13 @@ let assemble v =
       stats_named "size.in" sizes_in;
       stats_named "size.out" sizes_out;
       (* 3. inter-arrival stats *)
-      block "iat.total"
-        (List.map2 (fun k v -> (k, v)) [ "max"; "mean"; "std"; "p75" ] (interarrival_block gaps));
-      block "iat.in"
-        (List.map2 (fun k v -> (k, v)) [ "max"; "mean"; "std"; "p75" ] (interarrival_block gaps_in));
-      block "iat.out"
-        (List.map2 (fun k v -> (k, v)) [ "max"; "mean"; "std"; "p75" ] (interarrival_block gaps_out));
+      block "iat.total" (interarrival_block trace);
+      block "iat.in" (interarrival_block ~dir:Packet.Incoming trace);
+      block "iat.out" (interarrival_block ~dir:Packet.Outgoing trace);
       (* 4. transmission-time percentiles *)
-      block "time.total"
-        (List.map2 (fun k v -> (k, v)) [ "p25"; "p50"; "p75"; "p100" ] (time_percentiles rel_times));
-      block "time.in"
-        (List.map2
-           (fun k v -> (k, v))
-           [ "p25"; "p50"; "p75"; "p100" ]
-           (time_percentiles v.rel_times_in));
-      block "time.out"
-        (List.map2
-           (fun k v -> (k, v))
-           [ "p25"; "p50"; "p75"; "p100" ]
-           (time_percentiles v.rel_times_out));
+      block "time.total" (time_percentiles trace);
+      block "time.in" (time_percentiles ~dir:Packet.Incoming trace);
+      block "time.out" (time_percentiles ~dir:Packet.Outgoing trace);
       (* 5. ordering *)
       [
         ("order.out.mean", Stats.mean pos_out);
@@ -248,10 +178,10 @@ let assemble v =
       indexed "pps.sample" (sampled 20 pps);
       (* 8. first/last 30 packets *)
       [
-        ("first30.in", v.first30_in);
-        ("first30.out", v.first30_out);
-        ("last30.in", v.last30_in);
-        ("last30.out", v.last30_out);
+        ("first30.in", count Packet.Incoming first30);
+        ("first30.out", count Packet.Outgoing first30);
+        ("last30.in", count Packet.Incoming last30);
+        ("last30.out", count Packet.Outgoing last30);
       ];
       (* 9. bursts *)
       [
@@ -274,106 +204,10 @@ let assemble v =
         (fun i v -> (Printf.sprintf "band.out.%02d" i, v))
         (band_counts sizes_out);
       (* 11. duration *)
-      [ ("duration", v.duration) ];
+      [ ("duration", Trace.duration trace) ];
       (* 12. CUMUL-style sampled cumulative signed size *)
       indexed "cumul" (sampled 20 cumul);
     ]
-
-let named_features trace = assemble (view_of_trace trace)
-
-(* --- packed-trace path: same features, no event-record materialization --- *)
-
-module P = Stob_net.Packed_trace
-
-let burst_lengths_packed pt d =
-  let bursts = ref [] and current = ref 0 in
-  for i = 0 to P.length pt - 1 do
-    if P.dir pt i = d then incr current
-    else if !current > 0 then begin
-      bursts := float_of_int !current :: !bursts;
-      current := 0
-    end
-  done;
-  if !current > 0 then bursts := float_of_int !current :: !bursts;
-  Array.of_list (List.rev !bursts)
-
-let concentration_packed pt =
-  let n = P.length pt in
-  let n_chunks = (n + chunk_size - 1) / chunk_size in
-  Array.init n_chunks (fun c ->
-      let lo = c * chunk_size and hi = min n ((c + 1) * chunk_size) in
-      let count = ref 0 in
-      for i = lo to hi - 1 do
-        if P.dir pt i = Packet.Outgoing then incr count
-      done;
-      float_of_int !count)
-
-let packets_per_bucket_packed pt ~bucket =
-  let n = P.length pt in
-  if n = 0 then [||]
-  else begin
-    let duration = P.duration pt in
-    let buckets = max 1 (1 + int_of_float (duration /. bucket)) in
-    let counts = Array.make buckets 0.0 in
-    let t0 = P.time pt 0 in
-    for i = 0 to n - 1 do
-      let b = min (buckets - 1) (int_of_float ((P.time pt i -. t0) /. bucket)) in
-      counts.(b) <- counts.(b) +. 1.0
-    done;
-    counts
-  end
-
-let positions_packed pt d =
-  let pos = ref [] in
-  for i = 0 to P.length pt - 1 do
-    if P.dir pt i = d then pos := float_of_int i :: !pos
-  done;
-  Array.of_list (List.rev !pos)
-
-let view_of_packed pt =
-  let rel_times_dir dir =
-    let ts = P.times ~dir pt in
-    let all = P.times pt in
-    if Array.length all = 0 then [||] else Array.map (fun t -> t -. all.(0)) ts
-  in
-  (* Zero-copy views, not copies: prefix/sub share the bigarray lanes. *)
-  let first30 = P.prefix pt 30 in
-  let last30 =
-    let len = P.length pt in
-    if len <= 30 then pt else P.sub pt (len - 30) 30
-  in
-  {
-    n = float_of_int (P.length pt);
-    n_in = float_of_int (P.count ~dir:Packet.Incoming pt);
-    n_out = float_of_int (P.count ~dir:Packet.Outgoing pt);
-    bytes_total = float_of_int (P.bytes pt);
-    bytes_in = float_of_int (P.bytes ~dir:Packet.Incoming pt);
-    bytes_out = float_of_int (P.bytes ~dir:Packet.Outgoing pt);
-    sizes_in = P.sizes ~dir:Packet.Incoming pt;
-    sizes_out = P.sizes ~dir:Packet.Outgoing pt;
-    gaps = P.interarrivals pt;
-    gaps_in = P.interarrivals ~dir:Packet.Incoming pt;
-    gaps_out = P.interarrivals ~dir:Packet.Outgoing pt;
-    rel_times =
-      (let ts = P.times pt in
-       if Array.length ts = 0 then [||] else Array.map (fun t -> t -. ts.(0)) ts);
-    rel_times_in = rel_times_dir Packet.Incoming;
-    rel_times_out = rel_times_dir Packet.Outgoing;
-    pos_out = positions_packed pt Packet.Outgoing;
-    pos_in = positions_packed pt Packet.Incoming;
-    conc = concentration_packed pt;
-    pps = packets_per_bucket_packed pt ~bucket:0.25;
-    first30_in = float_of_int (P.count ~dir:Packet.Incoming first30);
-    first30_out = float_of_int (P.count ~dir:Packet.Outgoing first30);
-    last30_in = float_of_int (P.count ~dir:Packet.Incoming last30);
-    last30_out = float_of_int (P.count ~dir:Packet.Outgoing last30);
-    bursts_out = burst_lengths_packed pt Packet.Outgoing;
-    bursts_in = burst_lengths_packed pt Packet.Incoming;
-    cumul = Stats.cumulative (P.signed_sizes pt);
-    duration = P.duration pt;
-  }
-
-let named_features_packed pt = assemble (view_of_packed pt)
 
 (* The names are fixed; compute them once from an empty trace. *)
 let names = Array.of_list (List.map fst (named_features Trace.empty))
@@ -381,4 +215,4 @@ let names = Array.of_list (List.map fst (named_features Trace.empty))
 let dimension = Array.length names
 
 let extract trace = Array.of_list (List.map snd (named_features trace))
-let extract_packed pt = Array.of_list (List.map snd (named_features_packed pt))
+let extract_packed pt = extract (Stob_net.Packed_trace.to_trace pt)

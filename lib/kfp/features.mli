@@ -21,11 +21,8 @@ val extract : Stob_net.Trace.t -> float array
 (** Featurize one trace.  The result always has {!dimension} entries. *)
 
 val extract_packed : Stob_net.Packed_trace.t -> float array
-(** [extract] over the packed representation, reading the bigarray lanes
-    directly (prefix/suffix windows are zero-copy views) — no event
-    records are materialized.  Bit-identical to
-    [extract (Packed_trace.to_trace pt)]; the kfp.packed parity test is
-    the gate. *)
+(** [extract (Packed_trace.to_trace pt)], for traces read back from the
+    population journals. *)
 
 val chunk_size : int
 (** Packets per concentration chunk (20, as in the original attack). *)

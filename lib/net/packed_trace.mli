@@ -1,11 +1,11 @@
 (** Compact packed traces: bigarray-backed (time, direction, size) lanes.
 
-    A mirrored-API sibling of {!Trace} — same operations, exactly the same
-    semantics (the net.packed battery proves agreement event-for-event and
-    byte-for-byte on the codecs) — at 12 bytes/event instead of a boxed
-    record per event, with {!prefix}/{!sub} as zero-copy views and a raw
-    binary codec for journal payloads.  Built either from an existing
-    {!Trace.t} or streamed through an {!Arena}.
+    The storage form of a {!Trace.t}: 12 bytes/event instead of a boxed
+    record per event, with {!prefix} as a zero-copy view and a raw binary
+    codec for journal payloads.  Built either from an existing {!Trace.t}
+    or streamed through an {!Arena}.  Everything that computes on a trace
+    (defenses, featurizers, encoders) takes a {!Trace.t}; convert with
+    {!to_trace}.
 
     Values are immutable by convention; views share storage. *)
 
@@ -14,15 +14,6 @@ type t
 val empty : t
 val length : t -> int
 
-(** {1 Per-event access} *)
-
-val time : t -> int -> float
-val dir : t -> int -> Packet.direction
-val size : t -> int -> int
-val get : t -> int -> Trace.event
-
-(** {1 Conversions} *)
-
 val of_trace : Trace.t -> t
 (** Raises [Invalid_argument] if an event's size is outside
     [[0, {!Arena.max_size}]]. *)
@@ -30,43 +21,8 @@ val of_trace : Trace.t -> t
 val to_trace : t -> Trace.t
 val of_arena : Arena.t -> t
 
-(** {1 Observers (each agrees exactly with its {!Trace} namesake)} *)
-
-val is_sorted : t -> bool
-
-val sort : t -> t
-(** Stable sort by timestamp (preserves relative order of equal times). *)
-
 val prefix : t -> int -> t
 (** First [n] events — a zero-copy view. *)
-
-val sub : t -> int -> int -> t
-(** [sub t pos len]: zero-copy view of a slice. *)
-
-val duration : t -> float
-val count : ?dir:Packet.direction -> t -> int
-val bytes : ?dir:Packet.direction -> t -> int
-val times : ?dir:Packet.direction -> t -> float array
-val sizes : ?dir:Packet.direction -> t -> float array
-val interarrivals : ?dir:Packet.direction -> t -> float array
-val signed_sizes : t -> float array
-val shift_to_zero : t -> t
-
-val concat : t list -> t
-(** Concatenation in list order, no re-sorting. *)
-
-val concat_sorted : t list -> t
-
-(** {1 Codecs} *)
-
-val to_csv : t -> string
-(** Byte-identical to [Trace.to_csv] of the same events. *)
-
-val of_csv : string -> t
-(** Shares {!Trace.of_csv}'s parser; raises the same [Failure]s. *)
-
-val save : string -> t -> unit
-val load : string -> t
 
 val to_bytes : t -> string
 (** Raw binary framing (magic, u32 count, float64 times, int32 meta) for
@@ -74,10 +30,3 @@ val to_bytes : t -> string
 
 val of_bytes : string -> t
 (** Inverse of {!to_bytes}.  Raises [Failure] on framing errors. *)
-
-val pp_summary : Format.formatter -> t -> unit
-
-(** {1 Zero-copy bulk access (the k-FP featurizer path)} *)
-
-val raw_times : t -> (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-val raw_meta : t -> (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -15,7 +15,7 @@ let () =
     | _ -> None)
 
 type t = {
-  queue : event Event_queue.t;
+  queue : event Timing_wheel.t;
   mutable clock : float;
   mutable live : int;
   mutable processed : int;
@@ -26,10 +26,9 @@ type t = {
 
 let default_same_instant_budget = 1_000_000
 
-let create ?queue () =
+let create () =
   {
-    queue =
-      (match queue with None -> Event_queue.create () | Some impl -> Event_queue.create_impl impl);
+    queue = Timing_wheel.create ();
     clock = 0.0;
     live = 0;
     processed = 0;
@@ -52,7 +51,7 @@ let clear_probe t = t.probe <- None
 let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in
   let ev = { callback = f; cancelled = false } in
-  Event_queue.push t.queue ~time ev;
+  Timing_wheel.push t.queue ~time ev;
   t.live <- t.live + 1;
   ev
 
@@ -67,10 +66,10 @@ let cancel t ev =
   end
 
 let rec step t =
-  match Event_queue.pop t.queue with
+  match Timing_wheel.pop t.queue with
   | None -> false
   | Some (time, ev) ->
-      (* Cancelled events stay in the heap until popped; skip through them so
+      (* Cancelled events stay in the queue until popped; skip through them so
          that [step] reports whether real work happened. *)
       if ev.cancelled then step t
       else begin
@@ -97,10 +96,10 @@ let run ?until t =
   | Some limit ->
       let continue = ref true in
       while !continue do
-        match Event_queue.peek t.queue with
+        match Timing_wheel.peek t.queue with
         | None -> continue := false
         | Some (time, ev) ->
-            if ev.cancelled then ignore (Event_queue.pop t.queue)
+            if ev.cancelled then ignore (Timing_wheel.pop t.queue)
             else if time > limit then continue := false
             else ignore (step t)
       done;

@@ -19,11 +19,8 @@ exception Livelock of { time : float; events : int }
     such a bug hangs the process; with it, the hang becomes a structured,
     catchable failure (the chaos monitor reports it as a violation). *)
 
-val create : ?queue:Event_queue.impl -> unit -> t
-(** [queue] pins the event-queue implementation (the differential tests
-    run identical scenarios on both); defaults to
-    {!Event_queue.default_impl} — the timing wheel, unless the
-    [STOB_EVENT_QUEUE] environment variable says otherwise. *)
+val create : unit -> t
+(** A fresh engine at time 0 whose events sit in a {!Timing_wheel}. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)

@@ -4,11 +4,10 @@
 
     The sequence number breaks ties so that events scheduled for the same
     instant fire in insertion order — a property the TCP model relies on
-    (e.g., an ACK processed before the timer armed after it).  Production
-    code goes through {!Event_queue}, which selects the timing wheel by
-    default; this module exists so the [sim.wheel] battery can compare the
-    wheel's pop sequence against the original heap's on randomized
-    schedules. *)
+    (e.g., an ACK processed before the timer armed after it).  The engine
+    runs on the timing wheel; this module exists only so the [sim.wheel]
+    battery and the [simperf] bench can compare the wheel's pop sequence
+    and throughput against the original heap's. *)
 
 type 'a t
 

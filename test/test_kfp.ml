@@ -181,7 +181,7 @@ let prop_features_finite_on_random_traces =
       let f = Features.extract t in
       Array.length f = Features.dimension && Array.for_all Float.is_finite f)
 
-(* --- Packed featurizer parity --- *)
+(* --- Packed featurizer wrapper --- *)
 
 let arbitrary_sorted_trace =
   QCheck.make

@@ -451,46 +451,46 @@ let test_fit_jobs_invariant () =
 
 (* --- DF-lite ----------------------------------------------------------- *)
 
-let test_dfnet_encode () =
-  let trace =
+let test_dfnet_encode_batch_packed_agree () =
+  (* encode_batch and the packed wrapper must agree exactly with the
+     signed-direction encoding (directions are 0/±1, exact in float32). *)
+  let rng = Rng.create 41 in
+  let random_trace () =
+    Array.init
+      (50 + Rng.int rng 700)
+      (fun i ->
+        {
+          Stob_net.Trace.time = 0.001 *. float_of_int i;
+          dir =
+            (if Rng.float rng 1.0 < 0.4 then Stob_net.Packet.Outgoing
+             else Stob_net.Packet.Incoming);
+          size = 100 + Rng.int rng 1000;
+        })
+  in
+  let two_packets =
     [|
       { Stob_net.Trace.time = 0.0; dir = Stob_net.Packet.Outgoing; size = 100 };
       { Stob_net.Trace.time = 0.1; dir = Stob_net.Packet.Incoming; size = 1500 };
     |]
   in
-  let x = Dfnet.encode trace in
-  Alcotest.(check int) "length" Dfnet.input_length (Array.length x);
-  Alcotest.(check (float 0.0)) "outgoing" 1.0 x.(0);
-  Alcotest.(check (float 0.0)) "incoming" (-1.0) x.(1);
-  Alcotest.(check (float 0.0)) "padding" 0.0 x.(2)
-
-let test_dfnet_encode_batch_packed_agree () =
-  (* encode, encode_batch and the zero-copy packed path must agree exactly
-     (directions are 0/±1, exact in float32). *)
-  let rng = Rng.create 41 in
-  let traces =
-    Array.init 5 (fun _ ->
-        Array.init
-          (50 + Rng.int rng 700)
-          (fun i ->
-            {
-              Stob_net.Trace.time = 0.001 *. float_of_int i;
-              dir =
-                (if Rng.float rng 1.0 < 0.4 then Stob_net.Packet.Outgoing
-                 else Stob_net.Packet.Incoming);
-              size = 100 + Rng.int rng 1000;
-            }))
-  in
+  let traces = Array.append [| two_packets |] (Array.init 5 (fun _ -> random_trace ())) in
   let batch = Dfnet.encode_batch traces in
   let packed = Dfnet.encode_packed (Array.map Stob_net.Packed_trace.of_trace traces) in
+  Alcotest.(check int) "length" Dfnet.input_length (Tensor.cols batch);
+  Alcotest.(check (float 0.0)) "outgoing" 1.0 (Tensor.get batch 0 0);
+  Alcotest.(check (float 0.0)) "incoming" (-1.0) (Tensor.get batch 0 1);
+  Alcotest.(check (float 0.0)) "padding" 0.0 (Tensor.get batch 0 2);
   Array.iteri
     (fun i trace ->
-      let x = Dfnet.encode trace in
-      Array.iteri
-        (fun p v ->
-          Alcotest.(check (float 0.0)) "batch" v (Tensor.get batch i p);
-          Alcotest.(check (float 0.0)) "packed" v (Tensor.get packed i p))
-        x)
+      for p = 0 to Dfnet.input_length - 1 do
+        let v =
+          if p < Array.length trace then
+            float_of_int (Stob_net.Packet.direction_sign trace.(p).Stob_net.Trace.dir)
+          else 0.0
+        in
+        Alcotest.(check (float 0.0)) "batch" v (Tensor.get batch i p);
+        Alcotest.(check (float 0.0)) "packed" v (Tensor.get packed i p)
+      done)
     traces
 
 let test_dfnet_learns_synthetic_classes () =
@@ -541,7 +541,6 @@ let suite =
       ] );
     ( "nn.dfnet",
       [
-        Alcotest.test_case "encode" `Quick test_dfnet_encode;
         Alcotest.test_case "encode batch/packed agree" `Quick test_dfnet_encode_batch_packed_agree;
         Alcotest.test_case "learns synthetic classes" `Slow test_dfnet_learns_synthetic_classes;
       ] );

@@ -1,51 +1,52 @@
 (* Tests for stob_sim: event queue ordering, engine semantics, CPU model,
    link model. *)
 
-module Event_queue = Stob_sim.Event_queue
+module Timing_wheel = Stob_sim.Timing_wheel
+module Heap_queue = Stob_sim.Heap_queue
 module Engine = Stob_sim.Engine
 module Cpu = Stob_sim.Cpu
 module Link = Stob_sim.Link
 
 let check_float = Alcotest.(check (float 1e-12))
 
-(* --- Event_queue --- *)
+(* --- Event queue (the engine's timing wheel) --- *)
 
 let test_eq_ordering () =
-  let q = Event_queue.create () in
-  Event_queue.push q ~time:3.0 "c";
-  Event_queue.push q ~time:1.0 "a";
-  Event_queue.push q ~time:2.0 "b";
-  Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a")) (Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b")) (Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c")) (Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "empty" None (Event_queue.pop q)
+  let q = Timing_wheel.create () in
+  Timing_wheel.push q ~time:3.0 "c";
+  Timing_wheel.push q ~time:1.0 "a";
+  Timing_wheel.push q ~time:2.0 "b";
+  Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a")) (Timing_wheel.pop q);
+  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b")) (Timing_wheel.pop q);
+  Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c")) (Timing_wheel.pop q);
+  Alcotest.(check (option (pair (float 0.0) string))) "empty" None (Timing_wheel.pop q)
 
 let test_eq_fifo_ties () =
-  let q = Event_queue.create () in
-  Event_queue.push q ~time:1.0 "first";
-  Event_queue.push q ~time:1.0 "second";
-  Event_queue.push q ~time:1.0 "third";
-  let order = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  let q = Timing_wheel.create () in
+  Timing_wheel.push q ~time:1.0 "first";
+  Timing_wheel.push q ~time:1.0 "second";
+  Timing_wheel.push q ~time:1.0 "third";
+  let order = List.init 3 (fun _ -> snd (Option.get (Timing_wheel.pop q))) in
   Alcotest.(check (list string)) "fifo ties" [ "first"; "second"; "third" ] order
 
 let test_eq_size () =
-  let q = Event_queue.create () in
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
+  let q = Timing_wheel.create () in
+  Alcotest.(check bool) "empty" true (Timing_wheel.is_empty q);
   for i = 1 to 100 do
-    Event_queue.push q ~time:(float_of_int (100 - i)) i
+    Timing_wheel.push q ~time:(float_of_int (100 - i)) i
   done;
-  Alcotest.(check int) "size" 100 (Event_queue.size q);
-  ignore (Event_queue.pop q);
-  Alcotest.(check int) "size after pop" 99 (Event_queue.size q)
+  Alcotest.(check int) "size" 100 (Timing_wheel.size q);
+  ignore (Timing_wheel.pop q);
+  Alcotest.(check int) "size after pop" 99 (Timing_wheel.size q)
 
 let prop_eq_sorted_output =
   QCheck.Test.make ~name:"event queue pops in time order" ~count:200
     QCheck.(list (float_range 0.0 1000.0))
     (fun times ->
-      let q = Event_queue.create () in
-      List.iter (fun t -> Event_queue.push q ~time:t ()) times;
+      let q = Timing_wheel.create () in
+      List.iter (fun t -> Timing_wheel.push q ~time:t ()) times;
       let rec drain last =
-        match Event_queue.pop q with
+        match Timing_wheel.pop q with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
@@ -503,16 +504,39 @@ let test_fault_arm_schedules () =
    fails the differential check. *)
 type wheel_op = WPush of float | WPushAtLastPop | WPop
 
+(* The operations [run_script] needs, so one script drives either queue. *)
+type 'a queue = {
+  push : time:float -> 'a -> unit;
+  pop : unit -> (float * 'a) option;
+  is_empty : unit -> bool;
+}
+
+let heap_queue () =
+  let q = Heap_queue.create () in
+  {
+    push = Heap_queue.push q;
+    pop = (fun () -> Heap_queue.pop q);
+    is_empty = (fun () -> Heap_queue.is_empty q);
+  }
+
+let wheel_queue ?granularity () =
+  let q = Timing_wheel.create ?granularity () in
+  {
+    push = Timing_wheel.push q;
+    pop = (fun () -> Timing_wheel.pop q);
+    is_empty = (fun () -> Timing_wheel.is_empty q);
+  }
+
 let run_script ops q =
   let out = ref [] in
   let id = ref 0 in
   let last_pop = ref 0.0 in
   let push time =
-    Event_queue.push q ~time !id;
+    q.push ~time !id;
     incr id
   in
   let pop () =
-    let r = Event_queue.pop q in
+    let r = q.pop () in
     (match r with Some (t, _) -> last_pop := t | None -> ());
     out := r :: !out
   in
@@ -522,43 +546,29 @@ let run_script ops q =
       | WPushAtLastPop -> push !last_pop (* same-tick push right after a pop *)
       | WPop -> pop ())
     ops;
-  while not (Event_queue.is_empty q) do
+  while not (q.is_empty ()) do
     pop ()
   done;
-  out := Event_queue.pop q :: !out;
+  out := q.pop () :: !out;
   List.rev !out
 
 let wheel_matches_heap ?granularity ops =
-  let wheel =
-    match granularity with
-    | None -> Event_queue.create_impl Event_queue.Wheel
-    | Some g -> Event_queue.create_wheel ~granularity:g ()
-  in
-  run_script ops (Event_queue.create_impl Event_queue.Heap) = run_script ops wheel
+  run_script ops (heap_queue ()) = run_script ops (wheel_queue ?granularity ())
 
 (* Regression pin: same-instant pushes pop in insertion order on the wheel
    itself — the invariant endpoint.ml's ACK/timer interleaving relies on,
    pinned here independently of the differential battery. *)
 let test_wheel_fifo_pin () =
-  let q = Event_queue.create_impl Event_queue.Wheel in
-  Event_queue.push q ~time:1.0 "a";
-  Event_queue.push q ~time:1.0 "b";
-  Event_queue.push q ~time:0.5 "c";
-  Event_queue.push q ~time:1.0 "d";
-  let order = List.init 4 (fun _ -> Option.get (Event_queue.pop q)) in
+  let q = Timing_wheel.create () in
+  Timing_wheel.push q ~time:1.0 "a";
+  Timing_wheel.push q ~time:1.0 "b";
+  Timing_wheel.push q ~time:0.5 "c";
+  Timing_wheel.push q ~time:1.0 "d";
+  let order = List.init 4 (fun _ -> Option.get (Timing_wheel.pop q)) in
   Alcotest.(check (list (pair (float 0.0) string)))
     "same-instant insertion order survives the wheel"
     [ (0.5, "c"); (1.0, "a"); (1.0, "b"); (1.0, "d") ]
     order
-
-let test_wheel_default_impl () =
-  let expected =
-    match Sys.getenv_opt "STOB_EVENT_QUEUE" with
-    | Some "heap" -> Event_queue.Heap
-    | _ -> Event_queue.Wheel
-  in
-  Alcotest.(check bool) "default queue implementation" true
-    (Event_queue.impl (Event_queue.create ()) = expected)
 
 let test_wheel_push_during_pop () =
   (* Pops interleaved with pushes at exactly the last popped time: the
@@ -637,13 +647,13 @@ let prop_wheel_differential_fine =
     arbitrary_schedule
     (fun ops -> wheel_matches_heap ~granularity:1e-9 ops)
 
-(* Cancel/re-arm differential at the engine level: the exact scenario —
-   timers disarmed by earlier events, re-armed, re-cancelled, zero-delay
-   chains, same-instant triples — must execute identically on both queue
-   implementations. *)
-let engine_cancel_rearm_scenario ~queue =
+(* Cancel/re-arm at the engine level: timers disarmed by earlier events,
+   re-armed, re-cancelled, zero-delay chains, same-instant triples.  The
+   log was recorded on the heap oracle before the engine moved to the
+   wheel, so the literal below is the differential. *)
+let test_wheel_engine_cancel_rearm () =
   let log = Buffer.create 256 in
-  let e = Engine.create ~queue () in
+  let e = Engine.create () in
   let note tag = Buffer.add_string log (Printf.sprintf "%s@%.9f;" tag (Engine.now e)) in
   let timer = ref None in
   let arm label delay = timer := Some (Engine.schedule e ~delay (fun () -> note ("fire-" ^ label))) in
@@ -667,17 +677,11 @@ let engine_cancel_rearm_scenario ~queue =
          ignore (Engine.schedule e ~delay:0.25 (fun () -> Engine.cancel e r));
          arm "t2" 0.125));
   Engine.run e;
-  Buffer.contents log
-
-let test_wheel_engine_cancel_rearm () =
-  let heap_log = engine_cancel_rearm_scenario ~queue:Event_queue.Heap in
-  let wheel_log = engine_cancel_rearm_scenario ~queue:Event_queue.Wheel in
-  Alcotest.(check string) "cancel/re-arm log identical across queues" heap_log wheel_log;
-  (* Sanity pin: the scenario exercised what it claims to — the t0 timer
-     was disarmed, its replacement fired, the far timers never did. *)
+  (* The t0 timer was disarmed, its replacement fired, the far timers never
+     did. *)
   Alcotest.(check string) "scenario executes as designed"
     "cancel+rearm@1.000000000;same-instant-1@1.000000000;same-instant-2@1.000000000;fire-t1@1.500000000;chain-a@2.000000000;chain-b@2.000000000;fire-t2@3.125000000;"
-    heap_log
+    (Buffer.contents log)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -692,7 +696,6 @@ let suite =
     ( "sim.wheel",
       [
         Alcotest.test_case "same-instant fifo pin" `Quick test_wheel_fifo_pin;
-        Alcotest.test_case "default implementation" `Quick test_wheel_default_impl;
         Alcotest.test_case "push-during-pop differential" `Quick test_wheel_push_during_pop;
         Alcotest.test_case "far-future / overflow differential" `Quick test_wheel_far_future;
         Alcotest.test_case "engine cancel/re-arm differential" `Quick
