@@ -451,6 +451,20 @@ let test_fit_jobs_invariant () =
 
 (* --- DF-lite ----------------------------------------------------------- *)
 
+let test_dfnet_encode () =
+  let trace =
+    [|
+      { Stob_net.Trace.time = 0.0; dir = Stob_net.Packet.Outgoing; size = 100 };
+      { Stob_net.Trace.time = 0.1; dir = Stob_net.Packet.Incoming; size = 1500 };
+    |]
+  in
+  let x = Dfnet.encode_batch [| trace |] in
+  Alcotest.(check int) "rows" 1 (Tensor.rows x);
+  Alcotest.(check int) "length" Dfnet.input_length (Tensor.cols x);
+  Alcotest.(check (float 0.0)) "outgoing" 1.0 (Tensor.get x 0 0);
+  Alcotest.(check (float 0.0)) "incoming" (-1.0) (Tensor.get x 0 1);
+  Alcotest.(check (float 0.0)) "padding" 0.0 (Tensor.get x 0 2)
+
 let test_dfnet_encode_batch_packed_agree () =
   (* encode_batch and the packed wrapper must agree exactly with the
      signed-direction encoding (directions are 0/±1, exact in float32). *)
@@ -541,6 +555,7 @@ let suite =
       ] );
     ( "nn.dfnet",
       [
+        Alcotest.test_case "encode" `Quick test_dfnet_encode;
         Alcotest.test_case "encode batch/packed agree" `Quick test_dfnet_encode_batch_packed_agree;
         Alcotest.test_case "learns synthetic classes" `Slow test_dfnet_learns_synthetic_classes;
       ] );
