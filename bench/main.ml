@@ -1,9 +1,11 @@
 (* Benchmark and reproduction harness.
 
    With no arguments, regenerates every table and figure of the paper (plus
-   the ablations) and then runs the Bechamel microbenchmarks.  Individual
-   artifacts: `dune exec bench/main.exe -- table2` etc.; `quick` runs a
-   reduced-size version of everything (CI-friendly).  `--jobs N` spreads the
+   the ablations and extensions) and then runs the Bechamel
+   microbenchmarks.  Individual artifacts, one per Stob_experiments.Catalog
+   entry: `dune exec bench/main.exe -- table2` at full size, `table2-quick`
+   at the catalog's reduced sizes; `quick` runs the reduced version of
+   everything (CI-friendly).  `--jobs N` spreads the
    parallelized artifacts (Table 2, Figure 3, dataset generation) over N
    domains; results are identical to `--jobs 1` by construction.  `smoke`
    verifies exactly that on tiny inputs and exits non-zero on any mismatch
@@ -18,163 +20,45 @@ let hr title =
     "\n============================================================\n%s\n============================================================\n"
     title
 
-let run_table1 () =
-  hr "Table 1 (E3/E8): defense taxonomy with measured overheads";
-  Table1.print (Table1.run ())
+(* Best wall time of [reps] runs of [f], with the last run's value. *)
+let best_of ~reps f =
+  let best = ref infinity and last = ref None in
+  for _ = 1 to reps do
+    let start = Unix.gettimeofday () in
+    last := Some (f ());
+    best := Float.min !best (Unix.gettimeofday () -. start)
+  done;
+  (Option.get !last, !best)
 
-(* Crash-safe sweep plumbing: `--state-dir DIR` journals every finished
-   cell so a killed run resumes from where it died; `--retries N` re-runs
-   raising cells; `--strict` turns poisoned cells into a non-zero exit
-   (the default reports them and completes). *)
-type sweep_opts = { state_dir : string option; retries : int; strict : bool }
-
-let default_sweep = { state_dir = None; retries = 0; strict = false }
-
-let with_store opts f =
-  match opts.state_dir with
-  | None -> f None
-  | Some dir ->
-      let store = Stob_store.Store.open_ dir in
-      Fun.protect
-        ~finally:(fun () -> Stob_store.Store.close store)
-        (fun () -> f (Some store))
-
-(* The tally goes to stderr with the rest of the progress chatter: stdout
-   stays pure results, so a resumed run's stdout is byte-identical to an
-   uninterrupted one. *)
-let finish_sweep opts = function
-  | None -> ()
-  | Some (r : Stob_store.Supervisor.report) ->
-      Format.eprintf "@[sweep: %a@]@." Stob_store.Supervisor.pp_report r;
-      if opts.strict && r.Stob_store.Supervisor.poisoned <> [] then begin
-        Printf.eprintf "strict: failing on %d poisoned cell(s)\n"
-          (List.length r.Stob_store.Supervisor.poisoned);
-        exit 1
-      end
-
-let table2_config ~quick =
-  if quick then { Table2.default_config with samples_per_site = 20; folds = 3; forest_trees = 40 }
-  else Table2.default_config
-
-let run_table2 ?pool ?(sweep = default_sweep) ~quick () =
-  hr "Table 2 (E1): k-FP accuracy under emulated countermeasures";
-  with_store sweep (fun store ->
-      let report = ref None in
-      Table2.print
-        (Table2.run ~config:(table2_config ~quick) ?pool ?store ~retries:sweep.retries
-           ~on_report:(fun r -> report := Some r) ());
-      finish_sweep sweep !report)
-
-let fig3_config ~quick =
-  if quick then { Fig3.default_config with alphas = [ 0; 8; 16; 24; 32; 40 ] }
-  else Fig3.default_config
-
-let run_fig3 ?pool ?(sweep = default_sweep) ~quick () =
-  hr "Figure 3 (E2): throughput under packet/TSO size adjustment";
-  with_store sweep (fun store ->
-      let report = ref None in
-      Fig3.print
-        (Fig3.run ~config:(fig3_config ~quick) ?pool ?store ~retries:sweep.retries
-           ~on_report:(fun r -> report := Some r) ());
-      finish_sweep sweep !report)
-
-let run_fig1 () =
-  hr "Figure 1 (E4): the stack model";
-  Arch.print_figure1 ()
-
-let run_fig2 () =
-  hr "Figure 2 (E5): the Stob architecture";
-  Arch.print_figure2 ()
-
-let run_ablation_stack ~quick () =
-  hr "Ablation E6: emulated vs. in-stack enforcement";
-  let samples_per_site = if quick then 15 else 40 in
-  let trees = if quick then 40 else 100 in
-  Ablation.print_fidelity (Ablation.run_fidelity ~samples_per_site ~trees ())
-
-let run_ablation_cca () =
-  hr "Ablation E7: CCA interplay and safety audit";
-  Ablation.print_cca (Ablation.run_cca ())
-
-let run_ablation_quic ~quick () =
-  hr "Ablation E8b: TCP vs QUIC fingerprintability";
-  let samples_per_site = if quick then 15 else 40 in
-  let trees = if quick then 40 else 100 in
-  Ablation.print_transport (Ablation.run_transport ~samples_per_site ~trees ())
-
-let run_cca_id ~quick () =
-  hr "Extension: CCA identification (Section 5.2)";
-  let flows_per_cca = if quick then 15 else 40 in
-  let trees = if quick then 50 else 100 in
-  Cca_id.print (Cca_id.run ~flows_per_cca ~trees ())
-
-let run_openworld ?pool ?(sweep = default_sweep) ~quick () =
-  hr "Extension: open-world evaluation (k-FP's native setting)";
-  let samples_per_site = if quick then 12 else 30 in
-  let trees = if quick then 40 else 100 in
-  with_store sweep (fun store ->
-      let report = ref None in
-      Openworld.print
-        (Openworld.run ~samples_per_site ~trees ?pool ?store ~retries:sweep.retries
-           ~on_report:(fun r -> report := Some r) ());
-      finish_sweep sweep !report)
-
-let run_httpos ~quick () =
-  hr "Extension: HTTPOS-style client-side defense and its cost (Section 2.3)";
-  let samples_per_site = if quick then 12 else 30 in
-  let trees = if quick then 40 else 100 in
-  Httpos.print (Httpos.run ~samples_per_site ~trees ())
-
-let run_importance ~quick () =
-  hr "Extension: feature importance under defense";
-  let samples_per_site = if quick then 12 else 30 in
-  let trees = if quick then 40 else 100 in
-  Importance.print (Importance.run ~samples_per_site ~trees ())
-
-let run_pareto ?pool ?(sweep = default_sweep) ~quick () =
-  hr "Extension: Stob policy sweep (protection vs overhead frontier)";
-  let samples_per_site = if quick then 12 else 30 in
-  let trees = if quick then 40 else 100 in
-  with_store sweep (fun store ->
-      let report = ref None in
-      Pareto.print
-        (Pareto.run ~samples_per_site ~trees ?pool ?store ~retries:sweep.retries
-           ~on_report:(fun r -> report := Some r) ());
-      finish_sweep sweep !report)
-
-let run_dl ?pool ?(sweep = default_sweep) ~quick () =
-  hr "Extension: deep-learning vs feature-engineered attacks";
-  let samples_per_site = if quick then 15 else 60 in
-  let epochs = if quick then 10 else 30 in
-  let trees = if quick then 40 else 100 in
-  with_store sweep (fun store ->
-      let report = ref None in
-      Dl.print
-        (Dl.run ~samples_per_site ~epochs ~trees ?pool ?store ~retries:sweep.retries
-           ~on_report:(fun r -> report := Some r) ());
-      finish_sweep sweep !report)
-
-(* The population variant generates (or resumes) its packed corpus under
-   --state-dir; without the flag it uses a throwaway directory. *)
-let run_dl_population ?pool ?(sweep = default_sweep) ~quick () =
-  hr "Extension: DL vs k-FP on the population-scale corpus";
-  let users = if quick then 40 else 80 in
-  let epochs = if quick then 8 else 15 in
-  let trees = if quick then 40 else 100 in
-  let state_dir =
-    match sweep.state_dir with
-    | Some d -> d
-    | None ->
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "stob-dl-pop.%d" (Unix.getpid ()))
+(* [f] on a fresh path under the temp dir, removed afterwards. *)
+let with_scratch_dir name f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stob-%s.%d" name (Unix.getpid ()))
   in
-  Dl.print_population (Dl.run_population ~users ~epochs ~trees ?pool ~state_dir ())
+  let rm_rf () = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))) in
+  rm_rf ();
+  Fun.protect ~finally:rm_rf (fun () -> f dir)
 
-let run_early_curve ~quick () =
-  hr "Extension: early-detection curve (censorship setting)";
-  let samples_per_site = if quick then 15 else 60 in
-  let trees = if quick then 40 else 100 in
-  Earlycurve.print (Earlycurve.run ~samples_per_site ~trees ())
+(* Run a Bechamel group and print each test's OLS estimate. *)
+let print_bechamel ~cfg ~width tests =
+  let open Bechamel in
+  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+  List.iter
+    (fun (name, ols) ->
+      let ns = match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan in
+      Printf.printf "  %-28s %*.1f ns/run\n" name width ns)
+    (List.sort compare rows)
+
+(* One catalog artifact under its title.  A strict sweep that poisoned
+   cells exits 1; --state-dir/--retries/--strict apply to journaled sweeps
+   and, for a corpus artifact, --state-dir names the corpus directory. *)
+let run_artifact ?pool ?quick ?state_dir ?retries ?strict (e : Catalog.t) =
+  hr e.Catalog.title;
+  if not (Catalog.run ?pool ?quick ?state_dir ?retries ?strict e) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Netem impairment matrix: loss x reorder x CCA over the simulated path. *)
@@ -235,14 +119,7 @@ let run_chaos ?pool ~smoke ~chaos_seed () =
   C.print_sweep results;
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  List.iter
-    (fun (r : C.report) ->
-      if not (C.survived r) then
-        fail "%s: did not survive (crash/livelock/incomplete)" (C.scenario_name r.C.scenario);
-      if r.C.scenario.C.fault = None && not (C.clean r) then
-        fail "%s: no-fault cell reported %d violation(s)" (C.scenario_name r.C.scenario)
-          r.C.total_violations)
-    results;
+  List.iter (fun r -> List.iter (fail "%s") (C.gate_failures r)) results;
   if smoke then
     Pool.with_pool ~domains:3 (fun p ->
         let par = C.run_sweep ~pool:p ~seed:chaos_seed scenarios in
@@ -253,19 +130,14 @@ let run_chaos ?pool ~smoke ~chaos_seed () =
   let canary_cfg =
     { Fig3.default_config with Fig3.alphas = [ 0; 16; 32 ]; warmup = 0.02; measure = 0.04 }
   in
-  let canary_runs = ref 0 in
   let journaled_entries () =
-    incr canary_runs;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "stob-chaos-canary.%d.%d" (Unix.getpid ()) !canary_runs)
+    let entries =
+      with_scratch_dir "chaos-canary" (fun dir ->
+          let store = Stob_store.Store.open_ dir in
+          ignore (Fig3.run ~config:canary_cfg ~store ());
+          Stob_store.Store.close store;
+          snd (Stob_store.Store.peek dir))
     in
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-    let store = Stob_store.Store.open_ dir in
-    ignore (Fig3.run ~config:canary_cfg ~store ());
-    Stob_store.Store.close store;
-    let _, entries = Stob_store.Store.peek dir in
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
     List.filter_map
       (fun (_, label, status) ->
         match status with Stob_store.Store.Done p -> Some (label, p) | _ -> None)
@@ -364,21 +236,11 @@ let microbench_tests ~cv_pool () =
 let run_micro ?(jobs = 1) () =
   hr "Microbenchmarks (Bechamel)";
   let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
   let cv_domains = if jobs > 1 then jobs else 4 in
   Pool.with_pool ~domains:cv_domains @@ fun cv_pool ->
-  let tests = Test.make_grouped ~name:"stob" ~fmt:"%s/%s" (microbench_tests ~cv_pool ()) in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let ns = match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan in
-      Printf.printf "  %-28s %12.1f ns/run\n" name ns)
-    (List.sort compare rows)
+  print_bechamel ~cfg ~width:12
+    (Test.make_grouped ~name:"stob" ~fmt:"%s/%s" (microbench_tests ~cv_pool ()))
 
 (* ------------------------------------------------------------------ *)
 (* Forest training benchmark: the seed's naive row-major CART trainer
@@ -419,7 +281,6 @@ let shape_of_tree tree =
 
 let forest_micro ~features ~labels ~n_classes () =
   let open Bechamel in
-  let open Toolkit in
   let params ~n_trees = { Rf.default_params with Rf.n_trees; seed = 11 } in
   let t_naive =
     Test.make ~name:"naive-train-2"
@@ -431,17 +292,9 @@ let forest_micro ~features ~labels ~n_classes () =
       (Staged.stage (fun () ->
            ignore (Rf.train ~params:(params ~n_trees:2) ~n_classes ~features ~labels ())))
   in
-  let tests = Test.make_grouped ~name:"forest" ~fmt:"%s/%s" [ t_naive; t_presorted ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let ns = match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan in
-      Printf.printf "  %-28s %14.1f ns/run\n" name ns)
-    (List.sort compare rows)
+  print_bechamel ~width:14
+    ~cfg:(Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None ())
+    (Test.make_grouped ~name:"forest" ~fmt:"%s/%s" [ t_naive; t_presorted ])
 
 let run_forest ~smoke () =
   hr (if smoke then "Forest training benchmark (smoke)" else "Forest training benchmark");
@@ -455,19 +308,7 @@ let run_forest ~smoke () =
   (* Smoke timings are tens of milliseconds, so a single sample is at the
      mercy of scheduler jitter; take the best of [reps] to keep the gate
      stable.  The full run trains long enough that one sample suffices. *)
-  let reps = if smoke then 3 else 1 in
-  let time f =
-    let best = ref infinity in
-    let r = ref None in
-    for _ = 1 to reps do
-      let s = Unix.gettimeofday () in
-      let v = f () in
-      let e = Unix.gettimeofday () in
-      r := Some v;
-      if e -. s < !best then best := e -. s
-    done;
-    (Option.get !r, !best)
-  in
+  let time f = best_of ~reps:(if smoke then 3 else 1) f in
   let reference, t_ref =
     time (fun () ->
         Reference.train_forest ~params:(params ~n_trees:trees_ref) ~n_classes ~features ~labels ())
@@ -599,19 +440,7 @@ let run_dfnet ?pool ~smoke () =
   (* Per-epoch timing, best of [reps] (same epochs, batch and lr on both
      engines).  The parallel column is the engine as shipped: minibatch
      shards across domains. *)
-  let reps = 3 in
-  let time f =
-    let best = ref infinity in
-    let r = ref None in
-    for _ = 1 to reps do
-      let s = Unix.gettimeofday () in
-      let v = f () in
-      let e = Unix.gettimeofday () in
-      r := Some v;
-      if e -. s < !best then best := e -. s
-    done;
-    (Option.get !r, !best)
-  in
+  let time f = best_of ~reps:3 f in
   let train_ref () =
     let rng = Stob_util.Rng.create seed in
     let net = Dfn.build_reference ~rng ~n_classes in
@@ -826,15 +655,10 @@ let run_simperf ~smoke () =
       }
     else { Population.default_config with Population.shards = 8 }
   in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stob-simperf.%d" (Unix.getpid ()))
+  let summary, wall =
+    with_scratch_dir "simperf" (fun dir ->
+        best_of ~reps:1 (fun () -> Population.generate pop_config ~state_dir:dir))
   in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-  let start = Unix.gettimeofday () in
-  let summary = Population.generate pop_config ~state_dir:dir in
-  let wall = Unix.gettimeofday () -. start in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   let traces_per_s = float_of_int summary.Population.flows /. wall in
   let events_per_s = float_of_int summary.Population.events /. wall in
   Printf.printf
@@ -917,15 +741,10 @@ let run_population_soak ?pool ~flows_target () =
     if !growth_words > !worst_words then worst_words := !growth_words;
     Stob_check.Monitor.check_now monitor ~now:(float_of_int !shards_done)
   in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stob-popsoak.%d" (Unix.getpid ()))
+  let summary, wall =
+    with_scratch_dir "popsoak" (fun dir ->
+        best_of ~reps:1 (fun () -> Population.generate ?pool ~on_shard config ~state_dir:dir))
   in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-  let start = Unix.gettimeofday () in
-  let summary = Population.generate ?pool ~on_shard config ~state_dir:dir in
-  let wall = Unix.gettimeofday () -. start in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   Printf.printf
     "soak: %d flows (%d events, %.1f MiB packed) across %d shards in %.1f s\n\
      peak live-heap growth: %d MiB (bound %d MiB, corpus %d MiB)\n%!"
@@ -958,7 +777,7 @@ let run_population_soak ?pool ~flows_target () =
    (`--smoke --transport mixed`) rides `dune runtest`; the full run is
    `dune build @soak`. *)
 
-let run_soak ?pool ~smoke ~transport ~sweep () =
+let run_soak ?pool ~smoke ~transport ~state_dir ~retries () =
   let module Soak = Stob_check.Soak in
   let tname = Soak.transport_name transport in
   hr
@@ -970,10 +789,9 @@ let run_soak ?pool ~smoke ~transport ~sweep () =
     { (if smoke then Soak.smoke_config else Soak.default_config) with Soak.transport }
   in
   let jobs = match pool with None -> 1 | Some p -> Pool.domains p in
-  let allowed_growth_bytes = 64 * 1024 * 1024 * max 1 jobs in
   let start = Unix.gettimeofday () in
   let summary =
-    Soak.run ?pool ?state_dir:sweep.state_dir ~retries:sweep.retries
+    Soak.run ?pool ?state_dir ~retries
       ~on_shard:(fun r ->
         Printf.printf
           "  shard %02d%s: %6d flows (%5d quic), %6d completed, rtx %6d, probes %4d, ptos %4d, \
@@ -996,48 +814,11 @@ let run_soak ?pool ~smoke ~transport ~sweep () =
         failed := true)
       fmt
   in
-  if not smoke then begin
-    if summary.Soak.flows < 1_000_000 then
-      fail "only %d flows driven (the full soak must sustain >= 1M)" summary.Soak.flows
-  end;
-  if summary.Soak.completed < summary.Soak.flows then
-    fail "%d of %d flows did not complete within their horizon"
-      (summary.Soak.flows - summary.Soak.completed)
-      summary.Soak.flows;
-  if summary.Soak.fault_free_violations > 0 then
-    fail "%d invariant violations on fault-free shards: %s" summary.Soak.fault_free_violations
-      (String.concat ", "
-         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) summary.Soak.violations));
-  (* The mix must actually exercise the new machinery — TCP gates apply
-     whenever the population carries TCP flows, QUIC gates likewise. *)
-  let tcp_flows = summary.Soak.flows - summary.Soak.quic_flows in
-  (match transport with
-  | `Quic -> if tcp_flows > 0 then fail "quic soak drove %d tcp flows" tcp_flows
-  | `Tcp | `Mixed -> if tcp_flows = 0 then fail "no tcp flows in the mix");
-  if tcp_flows > 0 then begin
-    if summary.Soak.persist_probes = 0 then fail "no persist probes fired";
-    if summary.Soak.zero_window_flows = 0 then fail "no flow ever closed the window";
-    if summary.Soak.slow_reader_flows = 0 then fail "no slow-reader flows in the mix";
-    if summary.Soak.sack_off_flows = 0 then fail "no SACK-refusing flows in the mix";
-    if summary.Soak.wscale_off_flows = 0 then fail "no wscale-refusing flows in the mix"
-  end;
-  (match transport with
-  | `Tcp -> if summary.Soak.quic_flows > 0 then fail "tcp soak drove quic flows"
-  | `Quic | `Mixed ->
-      if summary.Soak.quic_flows = 0 then fail "no quic flows in the mix";
-      if summary.Soak.pto_events = 0 then fail "no QUIC probe timeout ever fired";
-      if summary.Soak.time_loss_detections = 0 then
-        fail "time-threshold loss detection never triggered";
-      if summary.Soak.idle_closed = 0 then fail "no QUIC endpoint ever idle-closed");
-  if summary.Soak.faults = 0 then fail "chaos dimension never armed";
-  if summary.Soak.peak_heap_growth_words * 8 > allowed_growth_bytes then
-    fail "live heap grew %d MiB (bound %d MiB): flows are accumulating instead of being reaped"
-      (summary.Soak.peak_heap_growth_words * 8 / 1048576)
-      (allowed_growth_bytes / 1048576);
+  List.iter (fail "%s") (Soak.gate_failures ~jobs config summary);
   (* Jobs parity: the soak must be bit-identical under a real pool.  Smoke
      only — the full run's parity is implied by the same pre-split-seed
      construction. *)
-  if smoke && sweep.state_dir = None then begin
+  if smoke && state_dir = None then begin
     let reports s = s.Soak.reports in
     let par = Pool.with_pool ~domains:4 (fun p -> Soak.run ~pool:p config) in
     if reports par <> reports summary then fail "smoke soak differs between --jobs 1 and --jobs 4"
@@ -1121,13 +902,6 @@ let run_resume_smoke () =
     Printf.printf "resume-smoke: %-48s %s\n%!" what (if ok then "ok" else "FAILED");
     if not ok then failed := true
   in
-  let dir_counter = ref 0 in
-  let fresh_dir () =
-    incr dir_counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stob-resume-smoke.%d.%d" (Unix.getpid ()) !dir_counter)
-  in
-  let rm_rf dir = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))) in
   let cfg =
     { Fig3.default_config with Fig3.alphas = [ 0; 12; 24; 36 ]; warmup = 0.02; measure = 0.04 }
   in
@@ -1142,7 +916,7 @@ let run_resume_smoke () =
   in
   let reference, _ = run () in
   (* Cold journaled run: computes everything, output identical to plain. *)
-  let dir = fresh_dir () in
+  with_scratch_dir "resume-smoke" @@ fun dir ->
   let store = Stob_store.Store.open_ dir in
   let full, rep = run ~store () in
   Stob_store.Store.close store;
@@ -1164,7 +938,7 @@ let run_resume_smoke () =
   let keep = List.nth ends 1 in
   List.iter
     (fun jobs ->
-      let dir' = fresh_dir () in
+      with_scratch_dir (Printf.sprintf "resume-smoke-%d" jobs) @@ fun dir' ->
       Unix.mkdir dir' 0o755;
       write_file
         (Stob_store.Store.journal_file dir')
@@ -1178,10 +952,8 @@ let run_resume_smoke () =
       check (Printf.sprintf "truncated resume matches (--jobs %d)" jobs) (resumed = reference);
       check
         (Printf.sprintf "truncated resume reuses the journal (--jobs %d)" jobs)
-        (rep.Sv.cached >= 1 && rep.Sv.computed = rep.Sv.total - rep.Sv.cached);
-      rm_rf dir')
+        (rep.Sv.cached >= 1 && rep.Sv.computed = rep.Sv.total - rep.Sv.cached))
     [ 1; 4 ];
-  rm_rf dir;
   (* Fault injection: an always-raising cell is poisoned (the sweep still
      completes, with the point rendered nan); a first-attempt-only fault
      heals under one retry. *)
@@ -1264,21 +1036,7 @@ let run_storechaos ~smoke ~chaos_seed () =
     r.Sc.sweep_boundaries r.Sc.ckpt_boundaries
 
 let all ?pool ~quick () =
-  run_fig1 ();
-  run_fig2 ();
-  run_table1 ();
-  run_fig3 ?pool ~quick ();
-  run_ablation_cca ();
-  run_table2 ?pool ~quick ();
-  run_ablation_stack ~quick ();
-  run_ablation_quic ~quick ();
-  run_openworld ~quick ();
-  run_cca_id ~quick ();
-  run_httpos ~quick ();
-  run_importance ~quick ();
-  run_early_curve ~quick ();
-  run_dl ?pool ~quick ();
-  run_pareto ~quick ();
+  List.iter (run_artifact ?pool ~quick) Catalog.all;
   run_micro ?jobs:(Option.map Pool.domains pool) ()
 
 let () =
@@ -1298,72 +1056,70 @@ let () =
     prerr_endline ("main.exe: " ^ msg);
     exit 2
   in
+  (* Store [parse v] in [r], or die with [usage]. *)
+  let set r parse usage v = match parse v with Some x -> r := x | None -> die usage in
+  let int_if ok v = Option.bind (int_of_string_opt v) (fun n -> if ok n then Some n else None) in
   let rest =
     let rec extract acc = function
-      | "--jobs" :: n :: rest -> (
-          match int_of_string_opt n with
-          | Some j when j >= 1 ->
-              jobs := j;
-              extract acc rest
-          | _ -> die "--jobs expects a positive integer")
+      | "--jobs" :: n :: rest ->
+          set jobs (int_if (fun j -> j >= 1)) "--jobs expects a positive integer" n;
+          extract acc rest
       | "--state-dir" :: d :: rest ->
           state_dir := Some d;
           extract acc rest
-      | "--retries" :: n :: rest -> (
-          match int_of_string_opt n with
-          | Some r when r >= 0 ->
-              retries := r;
-              extract acc rest
-          | _ -> die "--retries expects a non-negative integer")
+      | "--retries" :: n :: rest ->
+          set retries (int_if (fun r -> r >= 0)) "--retries expects a non-negative integer" n;
+          extract acc rest
       | "--strict" :: rest ->
           strict := true;
           extract acc rest
-      | "--loss" :: f :: rest -> (
-          match float_of_string_opt f with
-          | Some l when l >= 0.0 && l <= 1.0 ->
-              loss := Some l;
-              extract acc rest
-          | _ -> die "--loss expects a probability in [0, 1]")
-      | "--netem-seed" :: n :: rest -> (
-          match int_of_string_opt n with
-          | Some s ->
-              netem_seed := s;
-              extract acc rest
-          | None -> die "--netem-seed expects an integer")
-      | "--chaos-seed" :: n :: rest -> (
-          match int_of_string_opt n with
-          | Some s ->
-              chaos_seed := s;
-              extract acc rest
-          | None -> die "--chaos-seed expects an integer")
+      | "--loss" :: f :: rest ->
+          let prob f =
+            Option.bind (float_of_string_opt f) (fun l ->
+                if l >= 0.0 && l <= 1.0 then Some (Some l) else None)
+          in
+          set loss prob "--loss expects a probability in [0, 1]" f;
+          extract acc rest
+      | "--netem-seed" :: n :: rest ->
+          set netem_seed int_of_string_opt "--netem-seed expects an integer" n;
+          extract acc rest
+      | "--chaos-seed" :: n :: rest ->
+          set chaos_seed int_of_string_opt "--chaos-seed expects an integer" n;
+          extract acc rest
       | "--reorder" :: rest ->
           reorder := true;
           extract acc rest
       | "--smoke" :: rest ->
           smoke := true;
           extract acc rest
-      | "--transport" :: t :: rest -> (
-          match Stob_check.Soak.transport_of_name t with
-          | tr ->
-              transport := tr;
-              extract acc rest
-          | exception Invalid_argument _ -> die "--transport expects tcp, quic or mixed")
+      | "--transport" :: t :: rest ->
+          let name t =
+            try Some (Stob_check.Soak.transport_of_name t) with Invalid_argument _ -> None
+          in
+          set transport name "--transport expects tcp, quic or mixed" t;
+          extract acc rest
       | x :: rest -> extract (x :: acc) rest
       | [] -> List.rev acc
     in
     extract [] (List.tl (Array.to_list Sys.argv))
   in
   let jobs = !jobs in
-  let sweep = { state_dir = !state_dir; retries = !retries; strict = !strict } in
   (* One state dir holds exactly one sweep (the manifest enforces it), so
      the multi-artifact entry points refuse the flag rather than mixing
      journals. *)
   let sweep_only cmd =
-    if sweep.state_dir <> None then
+    if !state_dir <> None then
       die (Printf.sprintf "--state-dir applies to single-sweep artifacts, not %S" cmd)
   in
   let with_jobs f =
     if jobs = 1 then f None else Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
+  in
+  (* A catalog artifact: X at full size, X-quick at the reduced one. *)
+  let artifact name =
+    match (Catalog.find name, Filename.chop_suffix_opt ~suffix:"-quick" name) with
+    | Some e, _ -> Some (e, false)
+    | None, Some base -> Option.map (fun e -> (e, true)) (Catalog.find base)
+    | None, None -> None
   in
   match rest with
   | [] ->
@@ -1374,38 +1130,14 @@ let () =
       with_jobs (fun pool -> all ?pool ~quick:true ())
   | [ "smoke" ] -> run_smoke ()
   | [ "resume-smoke" ] -> run_resume_smoke ()
-  | [ "table1" ] -> run_table1 ()
-  | [ "table2" ] -> with_jobs (fun pool -> run_table2 ?pool ~sweep ~quick:false ())
-  | [ "table2-quick" ] -> with_jobs (fun pool -> run_table2 ?pool ~sweep ~quick:true ())
-  | [ "fig1" ] -> run_fig1 ()
-  | [ "fig2" ] -> run_fig2 ()
-  | [ "fig3" ] -> with_jobs (fun pool -> run_fig3 ?pool ~sweep ~quick:false ())
-  | [ "fig3-quick" ] -> with_jobs (fun pool -> run_fig3 ?pool ~sweep ~quick:true ())
-  | [ "ablation-stack" ] -> run_ablation_stack ~quick:false ()
-  | [ "ablation-cca" ] -> run_ablation_cca ()
-  | [ "ablation-quic" ] -> run_ablation_quic ~quick:false ()
-  | [ "openworld" ] -> with_jobs (fun pool -> run_openworld ?pool ~sweep ~quick:false ())
-  | [ "openworld-quick" ] -> with_jobs (fun pool -> run_openworld ?pool ~sweep ~quick:true ())
-  | [ "cca-id" ] -> run_cca_id ~quick:false ()
-  | [ "cca-id-quick" ] -> run_cca_id ~quick:true ()
-  | [ "httpos" ] -> run_httpos ~quick:false ()
-  | [ "httpos-quick" ] -> run_httpos ~quick:true ()
-  | [ "importance" ] -> run_importance ~quick:false ()
-  | [ "importance-quick" ] -> run_importance ~quick:true ()
-  | [ "early-curve" ] -> run_early_curve ~quick:false ()
-  | [ "early-curve-quick" ] -> run_early_curve ~quick:true ()
-  | [ "dl" ] -> with_jobs (fun pool -> run_dl ?pool ~sweep ~quick:false ())
-  | [ "dl-quick" ] -> with_jobs (fun pool -> run_dl ?pool ~sweep ~quick:true ())
-  | [ "dl-population" ] -> with_jobs (fun pool -> run_dl_population ?pool ~sweep ~quick:false ())
-  | [ "dl-population-quick" ] ->
-      with_jobs (fun pool -> run_dl_population ?pool ~sweep ~quick:true ())
   | [ "dfnet" ] -> with_jobs (fun pool -> run_dfnet ?pool ~smoke:!smoke ())
-  | [ "pareto" ] -> with_jobs (fun pool -> run_pareto ?pool ~sweep ~quick:false ())
-  | [ "pareto-quick" ] -> with_jobs (fun pool -> run_pareto ?pool ~sweep ~quick:true ())
   | [ "micro" ] -> run_micro ~jobs ()
   | [ "forest" ] -> run_forest ~smoke:!smoke ()
   | [ "simperf" ] -> run_simperf ~smoke:!smoke ()
-  | [ "soak" ] -> with_jobs (fun pool -> run_soak ?pool ~smoke:!smoke ~transport:!transport ~sweep ())
+  | [ "soak" ] ->
+      with_jobs (fun pool ->
+          run_soak ?pool ~smoke:!smoke ~transport:!transport ~state_dir:!state_dir
+            ~retries:!retries ())
   | [ "population-soak" ] ->
       with_jobs (fun pool -> run_population_soak ?pool ~flows_target:100_000 ())
   | [ "netem" ] ->
@@ -1414,9 +1146,15 @@ let () =
   | [ "chaos" ] ->
       with_jobs (fun pool -> run_chaos ?pool ~smoke:!smoke ~chaos_seed:!chaos_seed ())
   | [ "storechaos" ] -> run_storechaos ~smoke:!smoke ~chaos_seed:!chaos_seed ()
+  | [ name ] when artifact name <> None ->
+      let e, quick = Option.get (artifact name) in
+      with_jobs (fun pool ->
+          run_artifact ?pool ~quick ?state_dir:!state_dir ~retries:!retries ~strict:!strict e)
   | _ ->
       prerr_endline
-        "usage: main.exe [--jobs N] [--loss F] [--reorder] [--netem-seed N] [--chaos-seed N] \
-         [--smoke] [--transport tcp|quic|mixed] [--state-dir DIR] [--retries N] [--strict] \
-         [quick|smoke|resume-smoke|table1|table2|table2-quick|fig1|fig2|fig3|fig3-quick|ablation-stack|ablation-cca|ablation-quic|openworld|cca-id|httpos|importance|early-curve|dl|dl-population|dfnet|pareto|micro|forest|simperf|soak|population-soak|netem|chaos|storechaos]";
+        ("usage: main.exe [--jobs N] [--loss F] [--reorder] [--netem-seed N] [--chaos-seed N] \
+          [--smoke] [--transport tcp|quic|mixed] [--state-dir DIR] [--retries N] [--strict] [quick|"
+        ^ String.concat "|" (List.map (fun e -> e.Catalog.name ^ "[-quick]") Catalog.all)
+        ^ "|smoke|resume-smoke|dfnet|micro|forest|simperf|soak|population-soak|netem|chaos|\
+           storechaos]");
       exit 2

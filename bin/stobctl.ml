@@ -14,7 +14,6 @@ open Cmdliner
 open Stob_experiments
 module Store = Stob_store.Store
 module Journal = Stob_store.Journal
-module Sv = Stob_store.Supervisor
 
 (* --- exit codes -------------------------------------------------------- *)
 
@@ -23,10 +22,10 @@ module Sv = Stob_store.Supervisor
 let exits =
   Cmd.Exit.info 1
     ~doc:
-      "on a failed evaluation gate: a netem cell failed to converge, or a chaos cell crashed, \
+      "on a failed evaluation gate: a netem cell failed to converge, a chaos cell crashed, \
        livelocked, left its page load incomplete, or (no-fault cells) reported an invariant \
-       violation.  Also: a sweep run with $(b,--strict) that recorded poisoned cells, \
-       $(b,gen-dataset) refusing to overwrite an existing export, \
+       violation, or a soak gate failed.  Also: a sweep run with $(b,--strict) that recorded \
+       poisoned cells, $(b,gen-dataset) refusing to overwrite an existing export, \
        $(b,resume)/$(b,status)/$(b,scrub)/$(b,compact) on a state directory that is missing, \
        empty, or not a stob sweep (foreign journal magic), and $(b,scrub) without \
        $(b,--repair) finding a damaged journal tail."
@@ -86,8 +85,8 @@ let with_jobs jobs f =
   if jobs <= 1 then f None
   else Stob_par.Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
 
-(* Crash-safe sweep options, shared by every supervised experiment
-   (table2, fig3, openworld, pareto, resume). *)
+(* Crash-safe sweep options, shared by every journaled catalog sweep,
+   [resume] and [soak]. *)
 
 let state_dir_arg =
   let doc =
@@ -103,37 +102,22 @@ let retries_arg =
   in
   Arg.(value & opt (nonneg_int_conv ~docv:"N") 0 & info [ "retries" ] ~docv:"N" ~doc)
 
+let required_state_dir ~doc =
+  Arg.(required & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
+
+let corpus_dir_arg =
+  let doc =
+    "Generate (or resume) the population corpus under $(docv); without it, the corpus goes to a \
+     temporary directory removed afterwards."
+  in
+  Arg.(value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
+
 let strict_arg =
   let doc =
     "Exit non-zero when any sweep cell ends up poisoned (default: report the failures and \
      complete)."
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
-
-let with_store state_dir f =
-  match state_dir with
-  | None -> f None
-  | Some dir ->
-      let store = Store.open_ dir in
-      Fun.protect
-        ~finally:(fun () ->
-          (* Completion over durability: a sweep that lost its journal
-             mid-run (disk full) still finishes, but the operator must
-             hear about it — the degraded store report goes to stderr with
-             the rest of the progress chatter. *)
-          (if Store.degraded store <> None then
-             Format.eprintf "@[store: %a@]@." Store.pp_report (Store.report store));
-          Store.close store)
-        (fun () -> f (Some store))
-
-(* The tally goes to stderr with the rest of the progress chatter: stdout
-   stays pure results, so a resumed run's stdout is byte-identical to an
-   uninterrupted one. *)
-let finish_sweep ~strict = function
-  | None -> ()
-  | Some (r : Sv.report) ->
-      Format.eprintf "@[sweep: %a@]@." Sv.pp_report r;
-      if strict && r.Sv.poisoned <> [] then exit 1
 
 let samples =
   let doc = "Page-load samples to generate per site." in
@@ -322,264 +306,105 @@ let policies_cmd =
   Cmd.v (cmd_info "policies" ~doc:"List the built-in obfuscation policies")
     Term.(const policies $ const ())
 
-(* --- experiment wrappers ---------------------------------------------- *)
+(* --- paper artifacts ---------------------------------------------------- *)
 
-let table1 () = Table1.print (Table1.run ())
-
-let table1_cmd =
-  Cmd.v (cmd_info "table1" ~doc:"Reproduce Table 1 (defense taxonomy + measured overheads)")
-    Term.(const table1 $ const ())
-
-let table2 samples folds trees seed jobs state_dir retries strict =
-  let config = { Table2.default_config with samples_per_site = samples; folds; forest_trees = trees; seed } in
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Table2.print
-            (Table2.run ~config ?pool ?store ~retries ~on_report:(fun r -> report := Some r) ());
-          finish_sweep ~strict !report))
-
-let table2_cmd =
-  Cmd.v (cmd_info "table2" ~doc:"Reproduce Table 2 (k-FP accuracy under countermeasures)")
-    Term.(
-      const table2 $ samples $ folds $ trees $ seed $ jobs $ state_dir_arg $ retries_arg
-      $ strict_arg)
-
-let fig3 jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Fig3.print (Fig3.run ?pool ?store ~retries ~on_report:(fun r -> report := Some r) ());
-          finish_sweep ~strict !report))
-
-let fig3_cmd =
-  Cmd.v (cmd_info "fig3" ~doc:"Reproduce Figure 3 (throughput under packet/TSO adjustment)")
-    Term.(const fig3 $ jobs $ state_dir_arg $ retries_arg $ strict_arg)
-
-let arch () =
-  Arch.print_figure1 ();
-  print_newline ();
-  Arch.print_figure2 ()
-
-let arch_cmd =
-  Cmd.v (cmd_info "arch" ~doc:"Render Figures 1 and 2 (stack model and Stob architecture)")
-    Term.(const arch $ const ())
-
-let ablation_stack samples trees =
-  Ablation.print_fidelity (Ablation.run_fidelity ~samples_per_site:samples ~trees ())
-
-let ablation_stack_cmd =
-  let samples =
-    Arg.(value & opt int 40 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
+(* One command per Stob_experiments.Catalog entry.  Its sizes become
+   positive-int flags that default to the entry's full value, it takes
+   --seed if seeded, and the crash-safe options when it keeps state;
+   only stateful artifacts (sweeps, the population corpus) run in
+   parallel, so only they take --jobs.  An entry with a [switch] also
+   rides on its host's command as a flag ([dl --population]); each size
+   flag there defaults to the value of whichever entry runs. *)
+let experiment_cmd (e : Catalog.t) =
+  let variants =
+    List.filter (fun (v : Catalog.t) -> Option.map fst v.switch = Some e.name) Catalog.all
   in
-  Cmd.v (cmd_info "ablation-stack" ~doc:"E6: emulated vs. in-stack enforcement")
-    Term.(const ablation_stack $ samples $ trees)
-
-let ablation_cca () = Ablation.print_cca (Ablation.run_cca ())
-
-let ablation_quic samples trees =
-  Ablation.print_transport (Ablation.run_transport ~samples_per_site:samples ~trees ())
-
-let ablation_quic_cmd =
-  let samples =
-    Arg.(value & opt int 40 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
+  let entries = e :: variants in
+  let switch_flag (v : Catalog.t) = snd (Option.get v.switch) in
+  let sizes =
+    List.sort_uniq
+      (fun (a : Catalog.size) (b : Catalog.size) -> compare a.flag b.flag)
+      (List.concat_map (fun (x : Catalog.t) -> x.sizes) entries)
   in
-  Cmd.v (cmd_info "ablation-quic" ~doc:"E8b: TCP vs QUIC fingerprintability")
-    Term.(const ablation_quic $ samples $ trees)
-
-let ablation_cca_cmd =
-  Cmd.v (cmd_info "ablation-cca" ~doc:"E7: CCA interplay and the safety audit")
-    Term.(const ablation_cca $ const ())
-
-let openworld samples trees seed jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Openworld.print
-            (Openworld.run ~samples_per_site:samples ~trees ~seed ?pool ?store ~retries
-               ~on_report:(fun r -> report := Some r)
-               ());
-          finish_sweep ~strict !report))
-
-let openworld_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per monitored site.")
-  in
-  Cmd.v
-    (cmd_info "openworld" ~doc:"Open-world k-FP evaluation against unseen background sites")
-    Term.(
-      const openworld $ samples $ trees $ seed $ jobs $ state_dir_arg $ retries_arg $ strict_arg)
-
-let pareto samples trees folds seed jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Pareto.print
-            (Pareto.run ~samples_per_site:samples ~trees ~folds ~seed ?pool ?store ~retries
-               ~on_report:(fun r -> report := Some r)
-               ());
-          finish_sweep ~strict !report))
-
-let pareto_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  let folds =
-    Arg.(value & opt (pos_int_conv ~docv:"K") 3 & info [ "folds" ] ~docv:"K" ~doc:"Cross-validation folds.")
-  in
-  Cmd.v
-    (cmd_info "pareto"
-       ~doc:"Sweep Stob policies and report the protection-vs-overhead Pareto frontier")
-    Term.(const pareto $ samples $ trees $ folds $ seed $ jobs $ state_dir_arg $ retries_arg $ strict_arg)
-
-let dl samples trees epochs seed population users jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      if population then begin
-        let dir =
-          match state_dir with
-          | Some d -> d
-          | None ->
-              Printf.eprintf
-                "stobctl dl: --population needs --state-dir (the corpus is generated, and \
-                 resumed, there)\n";
-              exit 1
-        in
-        Dl.print_population (Dl.run_population ~users ~trees ~epochs ~seed ?pool ~state_dir:dir ())
-      end
-      else
-        with_store state_dir (fun store ->
-            let report = ref None in
-            Dl.print
-              (Dl.run ~samples_per_site:samples ~trees ~epochs ~seed ?pool ?store ~retries
-                 ~on_report:(fun r -> report := Some r)
-                 ());
-            finish_sweep ~strict !report))
-
-let dl_cmd =
-  let samples =
-    Arg.(value & opt (pos_int_conv ~docv:"N") 60 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  let epochs =
-    Arg.(value & opt (pos_int_conv ~docv:"N") 30 & info [ "epochs" ] ~docv:"N" ~doc:"DF-net training epochs.")
-  in
-  let population =
-    Arg.(
-      value & flag
-      & info [ "population" ]
-          ~doc:
-            "Evaluate on the population-scale packed corpus (generated crash-safely under \
-             --state-dir) instead of the standard per-site corpus.")
-  in
-  let users =
+  let size_arg (s : Catalog.size) =
+    let default (x : Catalog.t) =
+      List.find_opt (fun (d : Catalog.size) -> d.flag = s.flag) x.sizes
+      |> Option.map (fun (d : Catalog.size) ->
+             if x == e then string_of_int d.full
+             else Printf.sprintf "%d with --%s" d.full (switch_flag x))
+    in
+    let absent = String.concat ", " (List.filter_map default entries) in
     Arg.(
       value
-      & opt (pos_int_conv ~docv:"N") 80
-      & info [ "users" ] ~docv:"N" ~doc:"Population size for --population.")
+      & opt (some (pos_int_conv ~docv:"N")) None
+      & info [ s.flag ] ~docv:"N" ~doc:s.doc ~absent)
+  in
+  let sizes_t =
+    List.fold_right
+      (fun (s : Catalog.size) rest ->
+        Term.(
+          const (fun v rest -> Option.fold v ~none:rest ~some:(fun v -> (s.flag, v) :: rest))
+          $ size_arg s $ rest))
+      sizes (Term.const [])
+  in
+  let entry_t =
+    List.fold_left
+      (fun chosen (v : Catalog.t) ->
+        Term.(
+          const (fun on x -> if on then v else x)
+          $ Arg.(value & flag & info [ switch_flag v ] ~doc:v.doc)
+          $ chosen))
+      (Term.const e) variants
+  in
+  let has state = List.exists (fun x -> Catalog.state x = state) entries in
+  let sweep = has Catalog.Sweep in
+  let stateful = sweep || has Catalog.Corpus in
+  let when_ cond arg ~default = if cond then arg else Term.const default in
+  let seeded = List.exists (fun (x : Catalog.t) -> x.seeded) entries in
+  let run (x : Catalog.t) sizes seed jobs state_dir retries strict =
+    let go pool = Catalog.run ?pool ~sizes ?seed ?state_dir ~retries ~strict x in
+    if not (with_jobs jobs go) then exit 1
+  in
+  Cmd.v (cmd_info e.name ~doc:e.doc)
+    Term.(
+      const run $ entry_t $ sizes_t
+      $ when_ seeded (const Option.some $ seed) ~default:None
+      $ when_ stateful jobs ~default:1
+      $ when_ stateful (if sweep then state_dir_arg else corpus_dir_arg) ~default:None
+      $ when_ sweep retries_arg ~default:0
+      $ when_ sweep strict_arg ~default:false)
+
+(* Figures 1 and 2 together, one blank line apart. *)
+let arch_cmd =
+  let figure name = ignore (Catalog.run (Option.get (Catalog.find name))) in
+  let arch () =
+    figure "fig1";
+    print_newline ();
+    figure "fig2"
   in
   Cmd.v
-    (cmd_info "dl"
-       ~doc:
-         "Deep-learning (DF-lite CNN) vs feature-engineered (k-FP) attacks, undefended and \
-          under the combined defense")
-    Term.(
-      const dl $ samples $ trees $ epochs $ seed $ population $ users $ jobs $ state_dir_arg
-      $ retries_arg $ strict_arg)
+    (cmd_info "arch" ~doc:"Render Figures 1 and 2 (stack model and Stob architecture)")
+    Term.(const arch $ const ())
 
 (* --- resume / status --------------------------------------------------- *)
 
-(* [resume] rebuilds the interrupted sweep's exact configuration from the
-   journaled manifest and re-runs it against the same store: finished cells
-   replay from the cache, missing ones are computed, and the final artifact
-   is bit-identical to an uninterrupted run.  The per-experiment field
-   names below mirror what each experiment writes via [set_manifest]; the
-   rebuilt run re-asserts its manifest on the same directory, so any
-   divergence (e.g. a corpus regenerated differently) fails loudly instead
-   of mixing sweeps. *)
+(* [resume] rebuilds the interrupted sweep from its journaled manifest
+   (Catalog.resume looks the experiment up and decodes the manifest with
+   that experiment's own decoder) and re-runs it against the same store:
+   finished cells replay from the cache, missing ones are computed, and
+   the final artifact is bit-identical to an uninterrupted run.  The
+   rebuilt run re-asserts its manifest, so any divergence (e.g. a corpus
+   regenerated differently) fails loudly instead of mixing sweeps. *)
 let resume state_dir jobs retries strict =
-  let store = Store.open_ state_dir in
-  Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
-  match Store.manifest store with
-  | None ->
-      Printf.eprintf "stobctl resume: %s records no sweep (run one with --state-dir first)\n"
-        state_dir;
+  match with_jobs jobs (fun pool -> Catalog.resume ?pool ~retries ~strict state_dir) with
+  | true -> ()
+  | false -> exit 1
+  | exception (Failure msg | Journal.Corrupt msg) ->
+      Printf.eprintf "stobctl resume: %s\n" msg;
       exit 1
-  | Some m -> (
-      let field name =
-        match List.assoc_opt name m.Store.fields with
-        | Some v -> v
-        | None ->
-            Printf.eprintf
-              "stobctl resume: manifest in %s lacks field %S (state dir from an older build?)\n"
-              state_dir name;
-            exit 1
-      in
-      let ints name = int_of_string (field name) in
-      let floats name = float_of_string (field name) in
-      let report = ref None in
-      let on_report r = report := Some r in
-      Printf.eprintf "resuming %s sweep from %s (%d cells)\n%!" m.Store.experiment state_dir
-        m.Store.total;
-      try
-        with_jobs jobs (fun pool ->
-            (match m.Store.experiment with
-            | "table2" ->
-                let config =
-                  {
-                    Table2.default_config with
-                    samples_per_site = ints "samples_per_site";
-                    folds = ints "folds";
-                    forest_trees = ints "trees";
-                    seed = ints "seed";
-                  }
-                in
-                Table2.print (Table2.run ~config ?pool ~store ~retries ~on_report ())
-            | "fig3" ->
-                let cc_name = field "cc" in
-                let config =
-                  {
-                    Fig3.alphas =
-                      List.map int_of_string (String.split_on_char ',' (field "alphas"));
-                    link_gbps = floats "link_gbps";
-                    rtt = floats "rtt";
-                    warmup = floats "warmup";
-                    measure = floats "measure";
-                    cc = Stob_tcp.Netem_eval.cc_of_name cc_name;
-                    cc_name;
-                  }
-                in
-                Fig3.print (Fig3.run ~config ?pool ~store ~retries ~on_report ())
-            | "openworld" ->
-                Openworld.print
-                  (Openworld.run ~samples_per_site:(ints "samples_per_site")
-                     ~background_train_sites:(ints "bg_train_sites")
-                     ~background_test_sites:(ints "bg_test_sites") ~k:(ints "k")
-                     ~trees:(ints "trees") ~seed:(ints "seed") ?pool ~store ~retries ~on_report
-                     ())
-            | "pareto" ->
-                Pareto.print
-                  (Pareto.run ~samples_per_site:(ints "samples_per_site") ~trees:(ints "trees")
-                     ~folds:(ints "folds") ~seed:(ints "seed") ?pool ~store ~retries ~on_report
-                     ())
-            | "dl" ->
-                Dl.print
-                  (Dl.run ~samples_per_site:(ints "samples_per_site") ~trees:(ints "trees")
-                     ~epochs:(ints "epochs") ~seed:(ints "seed") ?pool ~store ~retries ~on_report
-                     ())
-            | other ->
-                Printf.eprintf "stobctl resume: don't know how to resume a %S sweep\n" other;
-                exit 1);
-            finish_sweep ~strict !report)
-      with Failure msg ->
-        Printf.eprintf "stobctl resume: %s\n" msg;
-        exit 1)
 
 let resume_cmd =
-  let state_dir =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "state-dir" ] ~docv:"DIR" ~doc:"State directory of the interrupted sweep.")
-  in
+  let state_dir = required_state_dir ~doc:"State directory of the interrupted sweep." in
   Cmd.v
     (cmd_info "resume"
        ~doc:
@@ -629,12 +454,7 @@ let status state_dir =
          else "")
 
 let status_cmd =
-  let state_dir =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "state-dir" ] ~docv:"DIR" ~doc:"State directory to inspect.")
-  in
+  let state_dir = required_state_dir ~doc:"State directory to inspect." in
   Cmd.v
     (cmd_info "status"
        ~doc:
@@ -685,12 +505,7 @@ let scrub state_dir repair =
       end
 
 let scrub_cmd =
-  let state_dir =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "state-dir" ] ~docv:"DIR" ~doc:"State directory whose journal to scrub.")
-  in
+  let state_dir = required_state_dir ~doc:"State directory whose journal to scrub." in
   let repair =
     Arg.(
       value & flag
@@ -726,12 +541,7 @@ let compact state_dir =
         c.Store.bytes_after
 
 let compact_cmd =
-  let state_dir =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "state-dir" ] ~docv:"DIR" ~doc:"State directory to compact.")
-  in
+  let state_dir = required_state_dir ~doc:"State directory to compact." in
   Cmd.v
     (cmd_info "compact"
        ~doc:
@@ -740,25 +550,6 @@ let compact_cmd =
           the pre-compaction state before it replaces the original; resume behaviour is \
           unchanged, only superseded frames are dropped.")
     Term.(const compact $ state_dir)
-
-let cca_id flows trees =
-  Cca_id.print (Cca_id.run ~flows_per_cca:flows ~trees ())
-
-let cca_id_cmd =
-  let flows = Arg.(value & opt int 40 & info [ "flows" ] ~docv:"N" ~doc:"Flows per CCA.") in
-  Cmd.v (cmd_info "cca-id" ~doc:"Passive CCA identification and Stob hiding (Section 5.2)")
-    Term.(const cca_id $ flows $ trees)
-
-let httpos samples trees =
-  Httpos.print (Httpos.run ~samples_per_site:samples ~trees ())
-
-let httpos_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  Cmd.v
-    (cmd_info "httpos" ~doc:"HTTPOS-style client-side defense: protection vs load-time cost")
-    Term.(const httpos $ samples $ trees)
 
 (* --- netem ------------------------------------------------------------ *)
 
@@ -854,11 +645,8 @@ let chaos smoke chaos_seed shrink jobs =
   let scenarios = if smoke then C.smoke_scenarios () else C.default_scenarios () in
   let reports = with_jobs jobs (fun pool -> C.run_sweep ?pool ~seed:chaos_seed scenarios) in
   C.print_sweep reports;
-  (* Same two gates as `bench/main.exe chaos`: every cell survives its page
-     load, and cells with no fault injected are violation-free. *)
-  let gate (r : C.report) =
-    C.survived r && (r.C.scenario.C.fault <> None || C.clean r)
-  in
+  (* Same per-cell gates as `bench/main.exe chaos` (Stob_check.Chaos.gate_failures). *)
+  let gate r = C.gate_failures r = [] in
   let failing = List.filter (fun r -> not (gate r)) reports in
   match failing with
   | [] ->
@@ -903,16 +691,6 @@ let chaos_cmd =
           degradation-enabled page loads.  Gates: every cell survives (completes without \
           crash or livelock) and no-fault cells report zero invariant violations.")
     Term.(const chaos $ smoke $ chaos_seed $ shrink $ jobs)
-
-let importance samples trees =
-  Importance.print (Importance.run ~samples_per_site:samples ~trees ())
-
-let importance_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  Cmd.v (cmd_info "importance" ~doc:"Feature importance before/after defense")
-    Term.(const importance $ samples $ trees)
 
 (* --- population ------------------------------------------------------- *)
 
@@ -1031,16 +809,11 @@ let soak smoke transport users shards fault_period horizon soak_seed state_dir r
           config)
   in
   Format.printf "%a@." Soak.pp_summary summary;
-  if summary.Soak.completed < summary.Soak.flows then begin
-    Printf.eprintf "soak: %d flows incomplete\n"
-      (summary.Soak.flows - summary.Soak.completed);
-    exit 1
-  end;
-  if summary.Soak.fault_free_violations > 0 then begin
-    Printf.eprintf "soak: %d invariant violations on fault-free shards\n"
-      summary.Soak.fault_free_violations;
-    exit 1
-  end
+  match Soak.gate_failures ~jobs config summary with
+  | [] -> ()
+  | failures ->
+      List.iter (Printf.eprintf "soak FAILURE: %s\n") failures;
+      exit 1
 
 let soak_cmd =
   let smoke =
@@ -1097,8 +870,11 @@ let soak_cmd =
           (slow readers, zero windows, refused SACK/wscale, reduced MSS, lossy links, chaos \
           pacer faults), QUIC (idle-timeout closes, anti-amplification, PTO recovery, \
           datagram-blackhole faults), or a mixed population — with every endpoint under the \
-          invariant monitor.  Gates: every flow completes and fault-free shards are \
-          violation-free.  With $(b,--state-dir) the soak is crash-safe and resumable.")
+          invariant monitor.  Gates (shared with $(b,bench/main.exe soak)): every flow \
+          completes, fault-free shards are violation-free, the mix exercises each transport's \
+          machinery, armed faults fire, live-heap growth stays bounded, and the unmodified \
+          full config drives >= 1M flows.  With $(b,--state-dir) the soak is crash-safe and \
+          resumable.")
     Term.(
       const soak $ smoke $ transport $ users $ shards $ fault_period $ horizon $ soak_seed
       $ state_dir_arg $ retries_arg $ jobs)
@@ -1106,12 +882,8 @@ let soak_cmd =
 let main_cmd =
   let doc = "stack-level traffic obfuscation (Stob) reproduction toolkit" in
   Cmd.group (Cmd.info "stobctl" ~version:"1.0.0" ~doc ~exits)
-    [
-      gen_dataset_cmd; attack_cmd; load_cmd; policies_cmd; table1_cmd; table2_cmd; fig3_cmd;
-      arch_cmd; ablation_stack_cmd; ablation_cca_cmd; ablation_quic_cmd; openworld_cmd;
-      pareto_cmd; dl_cmd; resume_cmd; status_cmd; scrub_cmd; compact_cmd; cca_id_cmd;
-      httpos_cmd; importance_cmd;
-      netem_cmd; chaos_cmd; population_cmd; soak_cmd;
-    ]
+    ([ gen_dataset_cmd; attack_cmd; load_cmd; policies_cmd; arch_cmd; resume_cmd; status_cmd;
+       scrub_cmd; compact_cmd; netem_cmd; chaos_cmd; population_cmd; soak_cmd ]
+    @ List.map experiment_cmd Catalog.all)
 
 let () = exit (Cmd.eval main_cmd)

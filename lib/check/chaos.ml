@@ -338,6 +338,14 @@ let survived r =
 
 let clean r = survived r && r.total_violations = 0
 
+let gate_failures r =
+  let name = scenario_name r.scenario in
+  (if survived r then [] else [ name ^ ": did not survive (crash/livelock/incomplete)" ])
+  @
+  if r.scenario.fault = None && not (clean r) then
+    [ Printf.sprintf "%s: no-fault cell reported %d violation(s)" name r.total_violations ]
+  else []
+
 let shrink ?(failed = fun r -> not (survived r)) ?rate_bps ?delay ?horizon ?fault_horizon
     ?events_per_kind ?request ?response ?stall_bound ~seed scenario =
   let run plan =

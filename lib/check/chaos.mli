@@ -122,6 +122,11 @@ val survived : report -> bool
 val clean : report -> bool
 (** {!survived} with zero violations (the no-fault bar). *)
 
+val gate_failures : report -> string list
+(** The battery's per-cell gates, shared by [bench/main.exe chaos] and
+    [stobctl chaos]: every cell {!survived}, and a no-fault cell is
+    {!clean}.  One line per failed gate; [[]] passes. *)
+
 val shrink :
   ?failed:(report -> bool) ->
   ?rate_bps:float ->

@@ -666,3 +666,44 @@ let pp_summary fmt s =
      else
        String.concat ", "
          (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) s.violations))
+
+let gate_failures ?(jobs = 1) config s =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  (* The >= 1M floor is the full battery's claim, so it binds only the
+     unmodified full config. *)
+  if config = { default_config with transport = config.transport } && s.flows < 1_000_000 then
+    fail "only %d flows driven (the full soak must sustain >= 1M)" s.flows;
+  if s.completed < s.flows then
+    fail "%d of %d flows did not complete within their horizon" (s.flows - s.completed) s.flows;
+  if s.fault_free_violations > 0 then
+    fail "%d invariant violations on fault-free shards: %s" s.fault_free_violations
+      (String.concat ", " (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) s.violations));
+  (* The mix must actually exercise the machinery: TCP gates apply
+     whenever the population carries TCP flows, QUIC gates likewise. *)
+  let tcp_flows = s.flows - s.quic_flows in
+  (match config.transport with
+  | `Quic -> if tcp_flows > 0 then fail "quic soak drove %d tcp flows" tcp_flows
+  | `Tcp | `Mixed -> if tcp_flows = 0 then fail "no tcp flows in the mix");
+  if tcp_flows > 0 then begin
+    if s.persist_probes = 0 then fail "no persist probes fired";
+    if s.zero_window_flows = 0 then fail "no flow ever closed the window";
+    if s.slow_reader_flows = 0 then fail "no slow-reader flows in the mix";
+    if s.sack_off_flows = 0 then fail "no SACK-refusing flows in the mix";
+    if s.wscale_off_flows = 0 then fail "no wscale-refusing flows in the mix"
+  end;
+  (match config.transport with
+  | `Tcp -> if s.quic_flows > 0 then fail "tcp soak drove quic flows"
+  | `Quic | `Mixed ->
+      if s.quic_flows = 0 then fail "no quic flows in the mix";
+      if s.pto_events = 0 then fail "no QUIC probe timeout ever fired";
+      if s.time_loss_detections = 0 then fail "time-threshold loss detection never triggered";
+      if s.idle_closed = 0 then fail "no QUIC endpoint ever idle-closed");
+  if s.faults = 0 && List.exists (fault_shard config) (List.init s.shards Fun.id) then
+    fail "chaos dimension never armed";
+  let allowed_growth_bytes = 64 * 1024 * 1024 * max 1 jobs in
+  if s.peak_heap_growth_words * 8 > allowed_growth_bytes then
+    fail "live heap grew %d MiB (bound %d MiB): flows are accumulating instead of being reaped"
+      (s.peak_heap_growth_words * 8 / 1048576)
+      (allowed_growth_bytes / 1048576);
+  List.rev !failures

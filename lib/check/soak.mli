@@ -228,4 +228,11 @@ val transport_of_name : string -> [ `Tcp | `Quic | `Mixed ]
 (** Raises [Invalid_argument] on an unknown name. *)
 
 val config_fields : config -> (string * string) list
+
+val gate_failures : ?jobs:int -> config -> summary -> string list
+(** The soak's pass/fail gates, shared by [bench/main.exe soak] and
+    [stobctl soak], one line per failed gate ([[]] passes).  Live-heap
+    growth is bounded at 64 MiB per domain of [jobs] (default 1); the
+    >= 1M-flow floor binds only the unmodified {!default_config}. *)
+
 val pp_summary : Format.formatter -> summary -> unit

@@ -131,6 +131,12 @@ let run ?(samples_per_site = 60) ?(trees = 100) ?(epochs = 30) ?(seed = 42) ?(qu
       ]
   | _ -> assert false
 
+(* Decodes the manifest [run] records above. *)
+let resume m ?pool ?retries ?inject ?store ?on_report () =
+  let int name = int_of_string (Stob_store.Store.field m name) in
+  run ~samples_per_site:(int "samples_per_site") ~trees:(int "trees") ~epochs:(int "epochs")
+    ~seed:(int "seed") ?pool ?retries ?inject ?store ?on_report ()
+
 let print rows =
   let pp v = if Float.is_nan v then "poisoned" else Printf.sprintf "%.3f" v in
   Printf.printf "Attack family comparison (closed world, 9 sites)\n";
@@ -141,7 +147,8 @@ let print rows =
 
 (* ------------------------------------------------------------------ *)
 (* Population-scale corpus: both attack families on the packed traces of
-   the PR 6 factory, end to end without materializing a Trace.t. *)
+   the population factory, each unpacked for the shared featurizer and
+   encoder. *)
 
 type population_result = {
   users : int;

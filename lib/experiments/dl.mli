@@ -16,8 +16,8 @@
     per-corpus encodings computed up front — crash-safe journal/resume,
     [stobctl status] visibility and retry/poison semantics like the other
     sweeps.  {!run_population} additionally evaluates both families on the
-    packed population-scale corpus of {!Population}, zero-copy from the
-    shard journals. *)
+    packed population-scale corpus of {!Population}, read back from the
+    shard journals and unpacked for the same featurizer and encoder. *)
 
 type row = { attack : string; original : float; defended : float }
 
@@ -40,6 +40,10 @@ val run :
     a [?store] finished cells are journaled and a rerun resumes from the
     cache.  A poisoned cell's accuracy is reported as [nan] and printed as
     ["poisoned"]. *)
+
+val resume : Stob_store.Store.manifest -> row list Stob_store.Supervisor.sweep
+(** {!run} with the parameters a journaled run recorded in its manifest:
+    the decoder [stobctl resume] uses.  Raises [Failure] on a missing field. *)
 
 val print : row list -> unit
 

@@ -155,6 +155,17 @@ let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
             })
     config.alphas
 
+(* Decodes the manifest [run] records above. *)
+let resume m =
+  let field = Stob_store.Store.field m in
+  let float name = float_of_string (field name) in
+  let cc_name = field "cc" in
+  run
+    ~config:
+      { alphas = List.map int_of_string (String.split_on_char ',' (field "alphas"));
+        link_gbps = float "link_gbps"; rtt = float "rtt"; warmup = float "warmup";
+        measure = float "measure"; cc = Stob_tcp.Netem_eval.cc_of_name cc_name; cc_name }
+
 let print points =
   Printf.printf
     "Figure 3: throughput vs. maximum reduction degree (100 Gb/s link, one core)\n";

@@ -52,6 +52,10 @@ val run :
     (["poisoned"] in {!print}).  See {!Stob_store.Supervisor} for
     [?retries]/[?inject]/[?on_report]. *)
 
+val resume : Stob_store.Store.manifest -> point list Stob_store.Supervisor.sweep
+(** {!run} with the parameters a journaled run recorded in its manifest:
+    the decoder [stobctl resume] uses.  Raises [Failure] on a missing field. *)
+
 val print : point list -> unit
 (** Render the two (plus combined) series as aligned columns — the data
     behind the figure. *)

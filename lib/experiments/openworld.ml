@@ -123,6 +123,13 @@ let run ?(samples_per_site = 30) ?(background_train_sites = 30) ?(background_tes
       { k; undefended = metrics_of undefended; defended = metrics_of defended }
   | _ -> assert false
 
+(* Decodes the manifest [run] records above. *)
+let resume m ?pool ?retries ?inject ?store ?on_report () =
+  let int name = int_of_string (Stob_store.Store.field m name) in
+  run ~samples_per_site:(int "samples_per_site") ~background_train_sites:(int "bg_train_sites")
+    ~background_test_sites:(int "bg_test_sites") ~k:(int "k") ~trees:(int "trees")
+    ~seed:(int "seed") ?pool ?retries ?inject ?store ?on_report ()
+
 let print r =
   Printf.printf "Open-world evaluation (k = %d, unseen background sites in test)\n" r.k;
   Printf.printf "  %-26s %-8s %-12s %-8s\n" "" "TPR" "wrong-site" "FPR";

@@ -45,4 +45,8 @@ val run :
     poisoned arm's metrics render as [nan].  See {!Stob_store.Supervisor}
     for [?retries]/[?inject]/[?on_report]. *)
 
+val resume : Stob_store.Store.manifest -> result Stob_store.Supervisor.sweep
+(** {!run} with the parameters a journaled run recorded in its manifest:
+    the decoder [stobctl resume] uses.  Raises [Failure] on a missing field. *)
+
 val print : result -> unit

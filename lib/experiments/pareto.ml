@@ -127,6 +127,12 @@ let run ?(samples_per_site = 30) ?(trees = 100) ?(folds = 3) ?(seed = 42) ?(quie
           })
     measured
 
+(* Decodes the manifest [run] records above. *)
+let resume m ?pool ?retries ?inject ?store ?on_report () =
+  let int name = int_of_string (Stob_store.Store.field m name) in
+  run ~samples_per_site:(int "samples_per_site") ~trees:(int "trees") ~folds:(int "folds")
+    ~seed:(int "seed") ?pool ?retries ?inject ?store ?on_report ()
+
 let print points =
   Printf.printf "Stob policy sweep: protection vs. overhead (* = Pareto-efficient)\n";
   Printf.printf "  %-32s %-10s %-10s %-10s\n" "policy" "accuracy" "lat-ovhd" "pkt-ovhd";

@@ -158,6 +158,14 @@ let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
   in
   run_on ~config ?pool ?retries ?inject ?store ?on_report dataset
 
+(* Decodes the manifest [run_on] records above. *)
+let resume m =
+  let int name = int_of_string (Stob_store.Store.field m name) in
+  run
+    ~config:
+      { default_config with samples_per_site = int "samples_per_site"; folds = int "folds";
+        forest_trees = int "trees"; seed = int "seed" }
+
 let print result =
   let pp_cell c =
     if Float.is_nan c.mean then "poisoned" else Printf.sprintf "%.3f +/- %.3f" c.mean c.std

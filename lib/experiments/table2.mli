@@ -47,6 +47,10 @@ val run :
     [?retries]/[?inject] control the retry policy and the chaos fault hook;
     [?on_report] receives the supervisor's cached/retried/poisoned tallies. *)
 
+val resume : Stob_store.Store.manifest -> result Stob_store.Supervisor.sweep
+(** {!run} with the parameters a journaled run recorded in its manifest:
+    the decoder [stobctl resume] uses.  Raises [Failure] on a missing field. *)
+
 val run_on :
   ?config:config ->
   ?pool:Stob_par.Pool.t ->

@@ -101,6 +101,15 @@ let peek dir =
 let close t = Journal.close t.journal
 let dir t = t.dir
 let manifest t = t.manifest
+
+let field m name =
+  match List.assoc_opt name m.fields with
+  | Some v -> v
+  | None ->
+      failwith
+        (Printf.sprintf "%s manifest lacks field %S (state dir from an older build?)" m.experiment
+           name)
+
 let degraded t = Mutex.protect t.mu (fun () -> t.degraded)
 let orphans_swept t = t.orphans_swept
 

@@ -50,6 +50,11 @@ val journal_file : string -> string
 
 val manifest : t -> manifest option
 
+val field : manifest -> string -> string
+(** A manifest field's value, for the experiments' manifest decoders.
+    Raises [Failure] when the field is missing (a state directory written
+    by an older build). *)
+
 val set_manifest : t -> experiment:string -> fields:(string * string) list -> total:int -> unit
 (** Record the run identity.  Idempotent when it matches the replayed
     manifest; raises [Failure] when the directory already belongs to a

@@ -23,6 +23,15 @@ type report = {
   poisoned : (string * string) list;
 }
 
+type 'r sweep =
+  ?pool:Stob_par.Pool.t ->
+  ?retries:int ->
+  ?inject:(label:string -> attempt:int -> unit) ->
+  ?store:Store.t ->
+  ?on_report:(report -> unit) ->
+  unit ->
+  'r
+
 let run ?(pool = Pool.sequential) ?(retries = 0) ?inject ?store ~experiment ~encode ~decode
     cells =
   if retries < 0 then invalid_arg "Supervisor.run: retries must be >= 0";

@@ -47,6 +47,18 @@ type report = {
   poisoned : (string * string) list;  (** [(label, exception text)], cell order. *)
 }
 
+type 'r sweep =
+  ?pool:Stob_par.Pool.t ->
+  ?retries:int ->
+  ?inject:(label:string -> attempt:int -> unit) ->
+  ?store:Store.t ->
+  ?on_report:(report -> unit) ->
+  unit ->
+  'r
+(** The supervised tail every journaled experiment's [run] ends with:
+    [?pool]/[?retries]/[?inject] as for {!run}, the [?store] to journal
+    into, and [?on_report] receiving the sweep's {!report}. *)
+
 val run :
   ?pool:Stob_par.Pool.t ->
   ?retries:int ->

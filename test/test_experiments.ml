@@ -293,6 +293,65 @@ let test_population_jobs_parity () =
           done;
           Alcotest.(check int) "streamed corpus complete" seq.Population.flows !streamed))
 
+(* --- catalog ------------------------------------------------------------- *)
+
+let test_catalog_names () =
+  let names = List.map (fun (e : Catalog.t) -> e.Catalog.name) Catalog.all in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (e : Catalog.t) ->
+      Option.iter
+        (fun (host, _) ->
+          Alcotest.(check bool) (e.Catalog.name ^ " switches onto an entry") true
+            (Catalog.find host <> None))
+        e.Catalog.switch)
+    Catalog.all
+
+(* Every journaled entry, run at a tiny size into a state directory, must
+   resume through the catalog from its manifest alone.  The manifest round
+   trip is under test, not the cells, so the fault hook poisons every cell
+   on its first attempt: poisoned records are journaled and replayed like
+   results, which keeps the whole battery to a few seconds. *)
+let test_catalog_resume () =
+  List.iter
+    (fun (e : Catalog.t) ->
+      if Catalog.state e = Catalog.Sweep then
+        with_pop_dir (fun dir ->
+            let name = e.Catalog.name in
+            let sizes = List.map (fun (s : Catalog.size) -> (s.Catalog.flag, 2)) e.Catalog.sizes in
+            let inject ~label:_ ~attempt:_ = failwith "cell skipped" in
+            ignore (Catalog.run ~sizes ~state_dir:dir ~inject e);
+            Alcotest.(check (option string))
+              (name ^ " journals its own name") (Some name)
+              (Option.map
+                 (fun m -> m.Stob_store.Store.experiment)
+                 (fst (Stob_store.Store.peek dir)));
+            let report = ref None in
+            let ok = Catalog.resume ~on_report:(fun r -> report := Some r) dir in
+            Alcotest.(check bool) (name ^ " resumes from its manifest") true ok;
+            match !report with
+            | None -> Alcotest.fail (name ^ ": resume reported no sweep")
+            | Some r ->
+                Alcotest.(check int) (name ^ " resume is fully cached") r.Stob_store.Supervisor.total
+                  r.Stob_store.Supervisor.cached))
+    Catalog.all
+
+(* Without --state-dir the corpus artifact works in a temporary directory
+   and removes it, whether the run succeeds or raises. *)
+let test_catalog_corpus_tempdir () =
+  with_pop_dir (fun tmp ->
+      Unix.mkdir tmp 0o755;
+      let saved = Filename.get_temp_dir_name () in
+      Filename.set_temp_dir_name tmp;
+      Fun.protect
+        ~finally:(fun () -> Filename.set_temp_dir_name saved)
+        (fun () ->
+          let e = Option.get (Catalog.find "dl-population") in
+          (try ignore (Catalog.run ~sizes:[ ("users", 2); ("trees", 2); ("epochs", 1) ] e)
+           with Failure _ -> ());
+          Alcotest.(check (array string)) "temporary corpus removed" [||] (Sys.readdir tmp)))
+
 let suite =
   [
     ( "experiments",
@@ -306,6 +365,13 @@ let suite =
         Alcotest.test_case "httpos reduced" `Slow test_httpos_reduced;
         Alcotest.test_case "importance reduced" `Slow test_importance_reduced;
         Alcotest.test_case "cca-id reduced" `Slow test_cca_id_reduced;
+      ] );
+    ( "experiments.catalog",
+      [
+        Alcotest.test_case "names unique" `Quick test_catalog_names;
+        Alcotest.test_case "journaled entries resume from their manifest" `Slow
+          test_catalog_resume;
+        Alcotest.test_case "corpus temp dir removed" `Slow test_catalog_corpus_tempdir;
       ] );
     ( "experiments.population",
       [
