@@ -14,7 +14,11 @@
 
     Each transformation can be restricted to the first [n] packets of the
     trace — the censorship setting where only the connection prefix is
-    defended/observed. *)
+    defended/observed.  With [~first_n] the result is exactly that of
+    transforming the first [n] packets and re-sorting the whole trace, and
+    [delay] draws one variate per incoming packet at indices [1 .. n-1], in
+    order; only the part of a sorted trace the transform can reorder is
+    rebuilt. *)
 
 val split : ?threshold:int -> ?first_n:int -> Stob_net.Trace.t -> Stob_net.Trace.t
 (** Default threshold 1200 B.  Byte-conserving: the two halves sum to the

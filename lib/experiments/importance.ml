@@ -23,7 +23,7 @@ let ranking_of dataset ~trees ~seed =
   in
   let importance = Stob_ml.Random_forest.feature_importance (Attack.forest attack) in
   Array.to_list (Array.mapi (fun i v -> (Features.names.(i), v)) importance)
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
 
 let run ?(samples_per_site = 30) ?(trees = 100) ?(seed = 42)
     ?(policy = Stob_core.Strategies.stack_combined ()) ?(quiet = false) () =

@@ -367,7 +367,7 @@ let pp_summary fmt s =
     s.corpus_digest;
   let table = site_visit_table s in
   let top = Array.copy table in
-  Array.sort (fun (_, a) (_, b) -> compare b a) top;
+  Array.sort (fun (_, a) (_, b) -> Int.compare b a) top;
   Array.iteri
     (fun i (name, count) ->
       if i < 10 && count > 0 then Format.fprintf fmt "  %-28s %6d visits@." name count)

@@ -5,18 +5,16 @@ module Stats = Stob_util.Stats
 let chunk_size = 20
 
 (* Evenly-spaced subsample of an arbitrary-length series, padded with 0. *)
-let sampled n series =
+let put_sampled put n series =
   let len = Array.length series in
-  Array.init n (fun i ->
-      if len = 0 then 0.0
-      else
-        let idx = i * len / n in
-        series.(min idx (len - 1)))
+  for i = 0 to n - 1 do
+    put (if len = 0 then 0.0 else series.(min (i * len / n) (len - 1)))
+  done
 
 (* Size bands (wire bytes) counted per direction. *)
 let size_bands = [| 100; 300; 600; 900; 1200; 1500 |]
 
-let band_counts sizes =
+let put_band_counts put sizes =
   let counts = Array.make (Array.length size_bands) 0.0 in
   Array.iter
     (fun s ->
@@ -27,7 +25,7 @@ let band_counts sizes =
       in
       place 0)
     sizes;
-  Array.to_list counts
+  Array.iter put counts
 
 (* Burst lengths: maximal runs of consecutive same-direction packets. *)
 let burst_lengths trace dir =
@@ -78,141 +76,124 @@ let packets_per_bucket trace ~bucket =
 
 (* Positions (indices) of packets of one direction within the trace. *)
 let positions trace dir =
-  let pos = ref [] in
-  Array.iteri (fun i e -> if e.Trace.dir = dir then pos := float_of_int i :: !pos) trace;
-  Array.of_list (List.rev !pos)
+  let pos = Array.make (Trace.count ~dir trace) 0.0 and j = ref 0 in
+  Array.iteri
+    (fun i e ->
+      if e.Trace.dir = dir then begin
+        pos.(!j) <- float_of_int i;
+        incr j
+      end)
+    trace;
+  pos
 
 let safe_frac num den = if den = 0.0 then 0.0 else num /. den
 
-(* Timestamps of one direction (or all), relative to the first packet. *)
-let rel_times ?dir trace =
-  let ts = Trace.times ?dir trace in
-  if Trace.length trace = 0 then [||]
-  else
-    let t0 = trace.(0).Trace.time in
-    Array.map (fun t -> t -. t0) ts
+(* Built once at load time; [extract] writes its values in this order. *)
+let names =
+  let block prefix suffixes = List.map (fun s -> prefix ^ "." ^ s) suffixes in
+  let indexed prefix n = List.init n (Printf.sprintf "%s.%02d" prefix) in
+  let stats prefix = block prefix [ "mean"; "std"; "median"; "min"; "max" ] in
+  let dirs f = List.concat_map f [ "total"; "in"; "out" ] in
+  Array.of_list
+    (List.concat
+       [
+         block "count" [ "total"; "in"; "out"; "frac_in"; "frac_out" ];
+         block "bytes" [ "total"; "in"; "out"; "frac_in" ];
+         stats "size.in";
+         stats "size.out";
+         dirs (fun d -> block ("iat." ^ d) [ "max"; "mean"; "std"; "p75" ]);
+         dirs (fun d -> block ("time." ^ d) [ "p25"; "p50"; "p75"; "p100" ]);
+         block "order" [ "out.mean"; "out.std"; "in.mean"; "in.std" ];
+         stats "conc";
+         [ "conc.sum" ];
+         indexed "conc.sample" 20;
+         stats "pps";
+         indexed "pps.sample" 20;
+         [ "first30.in"; "first30.out"; "last30.in"; "last30.out" ];
+         List.concat_map
+           (fun d -> block ("burst." ^ d) [ "count"; "mean"; "max"; "ge5"; "ge10" ])
+           [ "out"; "in" ];
+         indexed "band.in" (Array.length size_bands);
+         indexed "band.out" (Array.length size_bands);
+         [ "duration" ];
+         indexed "cumul" 20;
+       ])
 
-let time_percentiles ?dir trace =
-  let times = rel_times ?dir trace in
-  List.map
-    (fun (name, p) -> (name, Stats.percentile times p))
-    [ ("p25", 25.0); ("p50", 50.0); ("p75", 75.0); ("p100", 100.0) ]
+let dimension = Array.length names
 
-let interarrival_block ?dir trace =
-  let gaps = Trace.interarrivals ?dir trace in
-  [ ("max", Stats.max_ gaps); ("mean", Stats.mean gaps); ("std", Stats.std gaps);
-    ("p75", Stats.percentile gaps 75.0) ]
-
-let named_features trace =
-  let count dir t = float_of_int (Trace.count ~dir t)
-  and bytes dir = float_of_int (Trace.bytes ~dir trace) in
+(* Values go straight into one preallocated vector.  Each series is sorted
+   at most once (in [Stats]); the timestamps of a sorted trace are already
+   in order, so their four percentiles sort nothing. *)
+let extract trace =
+  let v = Array.make dimension 0.0 and k = ref 0 in
+  let put x =
+    v.(!k) <- x;
+    incr k
+  in
+  let count dir t = float_of_int (Trace.count ~dir t) in
   let n = float_of_int (Trace.length trace)
   and n_in = count Packet.Incoming trace
   and n_out = count Packet.Outgoing trace
   and bytes_total = float_of_int (Trace.bytes trace)
-  and bytes_in = bytes Packet.Incoming
-  and bytes_out = bytes Packet.Outgoing
+  and bytes_in = float_of_int (Trace.bytes ~dir:Packet.Incoming trace)
+  and bytes_out = float_of_int (Trace.bytes ~dir:Packet.Outgoing trace)
   and sizes_in = Trace.sizes ~dir:Packet.Incoming trace
-  and sizes_out = Trace.sizes ~dir:Packet.Outgoing trace
-  and pos_out = positions trace Packet.Outgoing
-  and pos_in = positions trace Packet.Incoming
-  and conc = concentration trace
-  and pps = packets_per_bucket trace ~bucket:0.25
-  and bursts_out = burst_lengths trace Packet.Outgoing
-  and bursts_in = burst_lengths trace Packet.Incoming
-  and cumul = Stats.cumulative (Trace.signed_sizes trace) in
-  let first30 = Trace.prefix trace 30 in
-  let last30 =
-    let len = Trace.length trace in
-    if len <= 30 then trace else Array.sub trace (len - 30) 30
-  in
-  let block name values = List.map (fun (suffix, v) -> (name ^ "." ^ suffix, v)) values in
-  let stats_named prefix a =
-    block prefix
-      [ ("mean", Stats.mean a); ("std", Stats.std a); ("median", Stats.median a);
-        ("min", Stats.min_ a); ("max", Stats.max_ a) ]
-  in
-  let indexed prefix values =
-    List.mapi (fun i v -> (Printf.sprintf "%s.%02d" prefix i, v)) (Array.to_list values)
-  in
-  List.concat
-    [
-      (* 1. counts *)
-      [
-        ("count.total", n);
-        ("count.in", n_in);
-        ("count.out", n_out);
-        ("count.frac_in", safe_frac n_in n);
-        ("count.frac_out", safe_frac n_out n);
-      ];
-      (* 2. bytes and size stats *)
-      [
-        ("bytes.total", bytes_total);
-        ("bytes.in", bytes_in);
-        ("bytes.out", bytes_out);
-        ("bytes.frac_in", safe_frac bytes_in bytes_total);
-      ];
-      stats_named "size.in" sizes_in;
-      stats_named "size.out" sizes_out;
-      (* 3. inter-arrival stats *)
-      block "iat.total" (interarrival_block trace);
-      block "iat.in" (interarrival_block ~dir:Packet.Incoming trace);
-      block "iat.out" (interarrival_block ~dir:Packet.Outgoing trace);
-      (* 4. transmission-time percentiles *)
-      block "time.total" (time_percentiles trace);
-      block "time.in" (time_percentiles ~dir:Packet.Incoming trace);
-      block "time.out" (time_percentiles ~dir:Packet.Outgoing trace);
-      (* 5. ordering *)
-      [
-        ("order.out.mean", Stats.mean pos_out);
-        ("order.out.std", Stats.std pos_out);
-        ("order.in.mean", Stats.mean pos_in);
-        ("order.in.std", Stats.std pos_in);
-      ];
-      (* 6. concentration of outgoing packets (20-packet chunks) *)
-      stats_named "conc" conc;
-      [ ("conc.sum", Stats.sum conc) ];
-      indexed "conc.sample" (sampled 20 conc);
-      (* 7. packets per 0.25 s *)
-      stats_named "pps" pps;
-      indexed "pps.sample" (sampled 20 pps);
-      (* 8. first/last 30 packets *)
-      [
-        ("first30.in", count Packet.Incoming first30);
-        ("first30.out", count Packet.Outgoing first30);
-        ("last30.in", count Packet.Incoming last30);
-        ("last30.out", count Packet.Outgoing last30);
-      ];
-      (* 9. bursts *)
-      [
-        ("burst.out.count", float_of_int (Array.length bursts_out));
-        ("burst.out.mean", Stats.mean bursts_out);
-        ("burst.out.max", Stats.max_ bursts_out);
-        ("burst.out.ge5", count_ge bursts_out 5.0);
-        ("burst.out.ge10", count_ge bursts_out 10.0);
-        ("burst.in.count", float_of_int (Array.length bursts_in));
-        ("burst.in.mean", Stats.mean bursts_in);
-        ("burst.in.max", Stats.max_ bursts_in);
-        ("burst.in.ge5", count_ge bursts_in 5.0);
-        ("burst.in.ge10", count_ge bursts_in 10.0);
-      ];
-      (* 10. size bands *)
-      List.mapi
-        (fun i v -> (Printf.sprintf "band.in.%02d" i, v))
-        (band_counts sizes_in);
-      List.mapi
-        (fun i v -> (Printf.sprintf "band.out.%02d" i, v))
-        (band_counts sizes_out);
-      (* 11. duration *)
-      [ ("duration", Trace.duration trace) ];
-      (* 12. CUMUL-style sampled cumulative signed size *)
-      indexed "cumul" (sampled 20 cumul);
-    ]
+  and sizes_out = Trace.sizes ~dir:Packet.Outgoing trace in
+  let stats a = List.iter put [ Stats.mean a; Stats.std a; Stats.median a; Stats.min_ a; Stats.max_ a ] in
+  (* 1. counts *)
+  List.iter put [ n; n_in; n_out; safe_frac n_in n; safe_frac n_out n ];
+  (* 2. bytes and size stats *)
+  List.iter put [ bytes_total; bytes_in; bytes_out; safe_frac bytes_in bytes_total ];
+  stats sizes_in;
+  stats sizes_out;
+  (* 3. inter-arrival stats, 4. transmission-time percentiles (relative to
+     the first packet of either direction) *)
+  let dirs = [ None; Some Packet.Incoming; Some Packet.Outgoing ] in
+  List.iter
+    (fun dir ->
+      let gaps = Trace.interarrivals ?dir trace in
+      List.iter put [ Stats.max_ gaps; Stats.mean gaps; Stats.std gaps; Stats.percentile gaps 75.0 ])
+    dirs;
+  let t0 = if Trace.length trace = 0 then 0.0 else trace.(0).Trace.time in
+  List.iter
+    (fun dir ->
+      let rel = Array.map (fun t -> t -. t0) (Trace.times ?dir trace) in
+      List.iter put (Stats.quantiles rel [ 25.0; 50.0; 75.0; 100.0 ]))
+    dirs;
+  (* 5. ordering *)
+  let pos_out = positions trace Packet.Outgoing and pos_in = positions trace Packet.Incoming in
+  List.iter put [ Stats.mean pos_out; Stats.std pos_out; Stats.mean pos_in; Stats.std pos_in ];
+  (* 6. concentration of outgoing packets (20-packet chunks) *)
+  let conc = concentration trace in
+  stats conc;
+  put (Stats.sum conc);
+  put_sampled put 20 conc;
+  (* 7. packets per 0.25 s *)
+  let pps = packets_per_bucket trace ~bucket:0.25 in
+  stats pps;
+  put_sampled put 20 pps;
+  (* 8. first/last 30 packets *)
+  let len = Trace.length trace in
+  let first30 = Trace.prefix trace 30 and last30 = if len <= 30 then trace else Array.sub trace (len - 30) 30 in
+  List.iter put
+    [ count Packet.Incoming first30; count Packet.Outgoing first30; count Packet.Incoming last30;
+      count Packet.Outgoing last30 ];
+  (* 9. bursts *)
+  List.iter
+    (fun dir ->
+      let bursts = burst_lengths trace dir in
+      List.iter put
+        [ float_of_int (Array.length bursts); Stats.mean bursts; Stats.max_ bursts; count_ge bursts 5.0;
+          count_ge bursts 10.0 ])
+    [ Packet.Outgoing; Packet.Incoming ];
+  (* 10. size bands *)
+  put_band_counts put sizes_in;
+  put_band_counts put sizes_out;
+  (* 11. duration *)
+  put (Trace.duration trace);
+  (* 12. CUMUL-style sampled cumulative signed size *)
+  put_sampled put 20 (Stats.cumulative (Trace.signed_sizes trace));
+  assert (!k = dimension);
+  v
 
-(* The names are fixed; compute them once from an empty trace. *)
-let names = Array.of_list (List.map fst (named_features Trace.empty))
-
-let dimension = Array.length names
-
-let extract trace = Array.of_list (List.map snd (named_features trace))
 let extract_packed pt = extract (Stob_net.Packed_trace.to_trace pt)

@@ -34,7 +34,7 @@ let majority counts =
 let best_split_on_feature ~features ~labels ~n_classes indices feature =
   let n = Array.length indices in
   let order = Array.copy indices in
-  Array.sort (fun a b -> compare features.(a).(feature) features.(b).(feature)) order;
+  Array.sort (fun a b -> Float.compare features.(a).(feature) features.(b).(feature)) order;
   let total_counts = class_counts ~n_classes labels order in
   let left_counts = Array.make n_classes 0 in
   let best = ref None in

@@ -5,20 +5,17 @@ type t = event array
 let empty = [||]
 let length = Array.length
 
+(* The order [sort] produces: [Float.compare] on times, so a NaN sorts
+   first and is never mistaken for in-order input. *)
 let is_sorted t =
-  let ok = ref true in
-  for i = 1 to Array.length t - 1 do
-    if t.(i).time < t.(i - 1).time then ok := false
-  done;
-  !ok
+  let rec go i = i >= Array.length t || (Float.compare t.(i - 1).time t.(i).time <= 0 && go (i + 1)) in
+  go 1
 
+(* Stable, so equal timestamps keep their relative order. *)
 let sort t =
   let copy = Array.copy t in
-  (* Array.sort is not stable; sort (time, original index) pairs instead so
-     equal timestamps keep their relative order. *)
-  let indexed = Array.mapi (fun i e -> (e.time, i, e)) copy in
-  Array.sort (fun (t1, i1, _) (t2, i2, _) -> if t1 <> t2 then compare t1 t2 else compare i1 i2) indexed;
-  Array.map (fun (_, _, e) -> e) indexed
+  if not (is_sorted copy) then Array.stable_sort (fun a b -> Float.compare a.time b.time) copy;
+  copy
 
 let prefix t n = if n >= Array.length t then Array.copy t else Array.sub t 0 (max n 0)
 
@@ -26,15 +23,30 @@ let duration t =
   let n = Array.length t in
   if n < 2 then 0.0 else t.(n - 1).time -. t.(0).time
 
-let select ?dir t =
-  match dir with None -> t | Some d -> Array.of_list (List.filter (fun e -> e.dir = d) (Array.to_list t))
+let selected dir e = match dir with None -> true | Some d -> e.dir = d
 
-let count ?dir t = Array.length (select ?dir t)
+let count ?dir t =
+  match dir with
+  | None -> Array.length t
+  | Some _ -> Array.fold_left (fun acc e -> if selected dir e then acc + 1 else acc) 0 t
 
-let bytes ?dir t = Array.fold_left (fun acc e -> acc + e.size) 0 (select ?dir t)
+let bytes ?dir t = Array.fold_left (fun acc e -> if selected dir e then acc + e.size else acc) 0 t
 
-let times ?dir t = Array.map (fun e -> e.time) (select ?dir t)
-let sizes ?dir t = Array.map (fun e -> float_of_int e.size) (select ?dir t)
+(* One field of the selected events, in trace order, written straight into
+   an unboxed result. *)
+let select_field ?dir t field =
+  let out = Array.make (count ?dir t) 0.0 and j = ref 0 in
+  Array.iter
+    (fun e ->
+      if selected dir e then begin
+        out.(!j) <- (match field with `Time -> e.time | `Size -> float_of_int e.size);
+        incr j
+      end)
+    t;
+  out
+
+let times ?dir t = select_field ?dir t `Time
+let sizes ?dir t = select_field ?dir t `Size
 
 let interarrivals ?dir t =
   let ts = times ?dir t in

@@ -15,9 +15,12 @@ type t = event array
 val empty : t
 val length : t -> int
 val is_sorted : t -> bool
+(** Timestamps non-decreasing under [Float.compare], the order {!sort}
+    produces (a NaN time sorts first). *)
 
 val sort : t -> t
-(** Stable sort by timestamp (preserves relative order of equal times). *)
+(** Stable sort by timestamp under [Float.compare] (preserves relative order
+    of equal times).  Always a fresh array; sorted input is only copied. *)
 
 val prefix : t -> int -> t
 (** First [n] events (all of them if the trace is shorter). *)

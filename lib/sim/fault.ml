@@ -119,7 +119,7 @@ let plan cfg =
       all_kinds
   in
   (* Stable sort keeps the all_kinds order for simultaneous events. *)
-  List.stable_sort (fun a b -> compare a.at b.at) events
+  List.stable_sort (fun a b -> Float.compare a.at b.at) events
 
 let arm ~engine ~apply ~revert events =
   List.iter

@@ -25,9 +25,15 @@ let sample_std a =
 let min_ a = if Array.length a = 0 then 0.0 else Array.fold_left min a.(0) a
 let max_ a = if Array.length a = 0 then 0.0 else Array.fold_left max a.(0) a
 
+let is_nondecreasing a =
+  let rec go i = i >= Array.length a || (Float.compare a.(i - 1) a.(i) <= 0 && go (i + 1)) in
+  go 1
+
+(* Sorted series (trace timestamps) are the common case: skip the sort when
+   the copy is already in the order the sort would produce. *)
 let sorted_copy a =
   let b = Array.copy a in
-  Array.sort compare b;
+  if not (is_nondecreasing b) then Array.stable_sort Float.compare b;
   b
 
 let percentile_sorted sorted p =

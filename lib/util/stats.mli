@@ -3,7 +3,9 @@
     These are the building blocks for the k-FP feature extractor, dataset
     sanitization (IQR filtering) and experiment reporting (mean +/- std).
     All functions are total on empty input where a sensible neutral value
-    exists; otherwise they raise [Invalid_argument]. *)
+    exists; otherwise they raise [Invalid_argument].  Order statistics sort a
+    copy of the input once, stably under [Float.compare] (NaN lowest), and
+    skip the sort when the input is already in that order. *)
 
 val sum : float array -> float
 val mean : float array -> float

@@ -92,6 +92,44 @@ let test_delay_first_n_constant_tail_shift () =
     Alcotest.(check (float 1e-9)) "tail gap unchanged" 0.1 gaps.(i - 1)
   done
 
+(* The prefix-aware [split] (only the region up to the first packet at or
+   past t(first_n - 1) + 1e-7 is rebuilt) and the skip-if-sorted [delay]
+   against the whole-trace versions in [Oracle.Emulate].  The traces are
+   full of ties and near-ties within 1e-7 s, so a tail boundary placed one
+   packet too early shows up.  Both sides draw from their own generator of
+   the same seed; the next draw must match too, since [Dataset.map_traces]
+   threads one generator through every sample. *)
+let test_emulate_matches_oracle () =
+  let near_tie =
+    (* Packet 14 is split; its second half at t + 1e-7 ties packet 17. *)
+    let t = 0.5 in
+    Array.init 20 (fun i ->
+        if i < 14 then ev (float_of_int i *. 0.01) out 60
+        else ev (match i with 14 | 15 -> t | 16 -> t +. 5e-8 | 17 -> t +. 1e-7 | 18 -> t +. 1.5e-7 | _ -> t +. 1.0) inc 1500)
+  in
+  List.iteri
+    (fun i t ->
+      let len = Trace.length t in
+      List.iter
+        (fun first_n ->
+          let name what =
+            Printf.sprintf "trace %d (%d events) %s first_n=%s" i len what
+              (Option.fold ~none:"all" ~some:string_of_int first_n)
+          in
+          let check what old_f new_f =
+            let old_rng = Rng.create i and new_rng = Rng.create i in
+            Alcotest.(check (list string)) (name what) (Trace_gen.render (old_f old_rng t))
+              (Trace_gen.render (new_f new_rng t));
+            Alcotest.(check int64) (name what ^ " next draw") (Rng.bits64 old_rng) (Rng.bits64 new_rng)
+          in
+          check "split" (fun _ t -> Oracle.Emulate.split ?first_n t) (fun _ t -> Emulate.split ?first_n t);
+          check "delay" (fun rng t -> Oracle.Emulate.delay ?first_n ~rng t) (fun rng t -> Emulate.delay ?first_n ~rng t);
+          check "combined"
+            (fun rng t -> Oracle.Emulate.combined ?first_n ~rng t)
+            (fun rng t -> Emulate.combined ?first_n ~rng t))
+        [ None; Some 0; Some 1; Some 15; Some (len - 1); Some len; Some (len + 5) ])
+    (near_tie :: Trace_gen.corpus ~seed:13 150)
+
 let test_combined_splits_and_delays () =
   let t = web_like_trace () in
   let c = Emulate.combined ~rng:(Rng.create 5) t in
@@ -457,6 +495,7 @@ let suite =
         Alcotest.test_case "delay stretches duration" `Quick test_delay_stretches_duration;
         Alcotest.test_case "delay first n" `Quick test_delay_first_n_constant_tail_shift;
         Alcotest.test_case "combined" `Quick test_combined_splits_and_delays;
+        Alcotest.test_case "prefix-aware split/delay match the oracle" `Quick test_emulate_matches_oracle;
         q prop_split_conserves;
         q prop_delay_monotone;
       ] );

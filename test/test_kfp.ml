@@ -244,10 +244,47 @@ let test_golden_features () =
   Alcotest.(check string) "extract_packed digest" golden_digest
     (features_digest (fun t -> Features.extract_packed (Stob_net.Packed_trace.of_trace t)) corpus)
 
+(* --- Differential: the rewritten extractor against the old one --- *)
+
+(* [Oracle.Features.named_features] is the list-building extractor the
+   preallocated one replaced.  Both must agree on every name and on every
+   value to the last bit, on traces the golden corpus does not cover:
+   unsorted and tied timestamps, one direction only, 0-3 packets, and
+   traces defended by [Emulate] with and without a prefix bound. *)
+let test_extract_matches_oracle () =
+  Alcotest.(check (list string)) "names" (List.map fst (Oracle.Features.named_features Trace.empty))
+    (Array.to_list Features.names);
+  let hex v = Printf.sprintf "%h" v in
+  let rng = Rng.create 5 in
+  let generated = Trace_gen.corpus ~seed:3 300 in
+  let defended =
+    List.concat_map
+      (fun t ->
+        let first_n = if Rng.bool rng then None else Some (Rng.int rng 50) in
+        [ Stob_defense.Emulate.split ?first_n t; Stob_defense.Emulate.delay ?first_n ~rng t;
+          Stob_defense.Emulate.combined ?first_n ~rng t ])
+      (List.filteri (fun i _ -> i mod 3 = 1) generated)
+  in
+  let outcome f t = try Ok (f t) with e -> Error (Printexc.to_string e) in
+  List.iteri
+    (fun i t ->
+      Alcotest.(check (result (list string) string))
+        (Printf.sprintf "trace %d (%d events)" i (Trace.length t))
+        (outcome (fun t -> List.map (fun (_, v) -> hex v) (Oracle.Features.named_features t)) t)
+        (outcome (fun t -> Array.to_list (Array.map hex (Features.extract t))) t))
+    (golden_corpus () @ generated @ defended
+    (* A first packet later than another one sends packets_per_bucket out of
+       bounds, in both. *)
+    @ [ [| ev 1.0 out 60; ev 0.5 inc 1500 |] ])
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
-    ("kfp.golden", [ Alcotest.test_case "feature values pinned" `Quick test_golden_features ]);
+    ( "kfp.golden",
+      [
+        Alcotest.test_case "feature values pinned" `Quick test_golden_features;
+        Alcotest.test_case "extract matches the list-building oracle" `Quick test_extract_matches_oracle;
+      ] );
     ( "kfp.packed",
       [
         Alcotest.test_case "degenerate traces" `Quick test_extract_packed_degenerate;

@@ -115,6 +115,41 @@ let test_trace_concat_sorted () =
   Alcotest.(check int) "merged length" 3 (Trace.length m);
   Alcotest.(check int) "middle is b's" 3 m.(1).Trace.size
 
+(* [is_sorted] must use the order [sort] produces, or a skip-if-sorted
+   [sort] would keep a NaN where the sort would move it. *)
+let test_trace_sort_nan () =
+  let t = [| ev 1.0 out 1; ev Float.nan inc 2 |] in
+  Alcotest.(check bool) "NaN after a number is out of order" false (Trace.is_sorted t);
+  let s = Trace.sort t in
+  Alcotest.(check (list int)) "NaN sorts first" [ 2; 1 ] (Array.to_list (Array.map (fun e -> e.Trace.size) s));
+  Alcotest.(check bool) "sorted output" true (Trace.is_sorted s);
+  Alcotest.(check (list int)) "sorting again is the identity" [ 2; 1 ]
+    (Array.to_list (Array.map (fun e -> e.Trace.size) (Trace.sort s)))
+
+(* The skip-if-sorted stable sort and the direct-fill selections against
+   the tuple sort and list round-trips they replaced. *)
+let test_trace_matches_oracle () =
+  let floats a = Array.to_list (Array.map (Printf.sprintf "%h") a) in
+  List.iter
+    (fun t ->
+      let name = Printf.sprintf "%d events" (Trace.length t) in
+      Alcotest.(check (list string)) (name ^ ": sort") (Trace_gen.render (Oracle.Trace.sort t))
+        (Trace_gen.render (Trace.sort t));
+      Alcotest.(check bool) (name ^ ": is_sorted") (Oracle.Trace.is_sorted t) (Trace.is_sorted t);
+      List.iter
+        (fun dir ->
+          Alcotest.(check int) (name ^ ": count") (Oracle.Trace.count ?dir t) (Trace.count ?dir t);
+          Alcotest.(check int) (name ^ ": bytes") (Oracle.Trace.bytes ?dir t) (Trace.bytes ?dir t);
+          Alcotest.(check (list string)) (name ^ ": times") (floats (Oracle.Trace.times ?dir t))
+            (floats (Trace.times ?dir t));
+          Alcotest.(check (list string)) (name ^ ": sizes") (floats (Oracle.Trace.sizes ?dir t))
+            (floats (Trace.sizes ?dir t));
+          Alcotest.(check (list string)) (name ^ ": interarrivals")
+            (floats (Oracle.Trace.interarrivals ?dir t))
+            (floats (Trace.interarrivals ?dir t)))
+        [ None; Some inc; Some out ])
+    (Trace_gen.corpus ~seed:11 200)
+
 (* --- Capture --- *)
 
 let test_capture_records () =
@@ -253,6 +288,8 @@ let suite =
         Alcotest.test_case "duration" `Quick test_trace_duration;
         Alcotest.test_case "interarrivals" `Quick test_trace_interarrivals;
         Alcotest.test_case "stable sort" `Quick test_trace_sort_stable;
+        Alcotest.test_case "NaN: is_sorted agrees with sort" `Quick test_trace_sort_nan;
+        Alcotest.test_case "matches the pre-rewrite oracle" `Quick test_trace_matches_oracle;
         Alcotest.test_case "shift to zero" `Quick test_trace_shift_to_zero;
         Alcotest.test_case "signed sizes" `Quick test_trace_signed_sizes;
         Alcotest.test_case "csv roundtrip" `Quick test_trace_csv_roundtrip;

@@ -195,6 +195,71 @@ let test_stats_mad () =
   let a = [| 1.0; 1.0; 2.0; 2.0; 4.0; 6.0; 9.0 |] in
   check_float "mad" 1.0 (Stats.mad a)
 
+(* The float-specialised comparator and sort (skip when already in order,
+   else a stable merge sort on [Float.compare]) against the old
+   [Array.sort compare] code in [Oracle.Stats].  Every
+   statistic is compared as its [%h] rendering, so a NaN or a zero must
+   match down to its sign bit. *)
+let hex v = Printf.sprintf "%h" v
+
+module type STATS = sig
+  val percentile : float array -> float -> float
+  val median : float array -> float
+  val quantiles : float array -> float list -> float list
+  val iqr_bounds : float array -> float * float
+  val mad : float array -> float
+end
+
+let stats_renderings (module S : STATS) a =
+  let ps = [ 0.0; 10.0; 25.0; 50.0; 75.0; 90.0; 100.0 ] in
+  List.map hex
+    ([ S.median a; S.mad a ]
+    @ List.map (S.percentile a) ps
+    @ S.quantiles a ps
+    @ if Array.length a = 0 then [] else (fun (lo, hi) -> [ lo; hi ]) (S.iqr_bounds a))
+
+let stats_cases () =
+  let rng = Rng.create 7 in
+  (* [+. 0.0] turns a rounded [-0.] into [0.]: signed zeros have their own test. *)
+  let random n = Array.init n (fun _ -> (Float.round (Rng.uniform rng (-50.0) 50.0) /. 4.0) +. 0.0) in
+  let ascending = Array.init 40 (fun i -> float_of_int (i / 3)) in
+  [
+    ("empty", [||]);
+    ("single", [| 3.5 |]);
+    ("duplicates", [| 2.0; 1.0; 2.0; 2.0; 1.0; 3.0; 1.0 |]);
+    ("already sorted", ascending);
+    ("reverse sorted", Array.of_list (List.rev (Array.to_list ascending)));
+    ("one zero sign", [| 0.0; 1.0; 0.0; -1.0; 0.0 |]);
+    ("nan first", [| Float.nan; 1.0; 2.0 |]);
+    ("nan inside", [| 3.0; 1.0; Float.nan; 2.0; Float.nan |]);
+    ("infinities", [| Float.infinity; 1.0; Float.neg_infinity; 1.0 |]);
+  ]
+  @ List.init 20 (fun i -> (Printf.sprintf "random %d" i, random (i * 7)))
+
+let test_stats_match_oracle () =
+  List.iter
+    (fun (name, a) ->
+      Alcotest.(check (list string))
+        name
+        (stats_renderings (module Oracle.Stats) a)
+        (stats_renderings (module Stats) a))
+    (stats_cases ())
+
+(* Zeros of both signs compare equal, so a sort may order them either way.
+   The old heap sort ordered them arbitrarily; the stable sort keeps input
+   order.  The values still agree as numbers, and the new ones are pinned. *)
+let test_stats_signed_zeros () =
+  List.iter
+    (fun a ->
+      List.iter2
+        (fun o n -> Alcotest.(check bool) "equal as floats" true (Float.equal (Float.of_string o) (Float.of_string n)))
+        (stats_renderings (module Oracle.Stats) a)
+        (stats_renderings (module Stats) a))
+    [ [| 0.0; -0.0 |]; [| -0.0; 0.0; -0.0; 1.0 |]; [| 1.0; -0.0; 0.0; 0.0; -0.0 |] ];
+  Alcotest.(check string) "p0 keeps input order" "0x0p+0" (hex (Stats.percentile [| 0.0; -0.0 |] 0.0));
+  Alcotest.(check string) "p0 keeps input order" "-0x0p+0" (hex (Stats.percentile [| -0.0; 0.0 |] 0.0));
+  Alcotest.(check string) "sorted input untouched" "-0x0p+0" (hex (Stats.median [| -1.0; 0.0; -0.0; 1.0; 2.0 |]))
+
 (* --- Histogram --- *)
 
 let test_histogram_counts () =
@@ -338,6 +403,8 @@ let suite =
         Alcotest.test_case "cumulative" `Quick test_stats_cumulative;
         Alcotest.test_case "skew symmetric" `Quick test_stats_skew_symmetric;
         Alcotest.test_case "mad" `Quick test_stats_mad;
+        Alcotest.test_case "matches the Array.sort compare oracle" `Quick test_stats_match_oracle;
+        Alcotest.test_case "signed zeros keep input order" `Quick test_stats_signed_zeros;
         q prop_percentile_monotone;
         q prop_mean_between_min_max;
       ] );
