@@ -284,6 +284,11 @@ let check_quic_inspection (i : Quic.inspection) =
       ( "quic-inflight-accounting",
         Printf.sprintf "inflight ledger %d B != %d B across %d unacked packets" i.inflight
           i.unacked_bytes i.unacked_packets )
+  else if i.indexed_packets <> i.unacked_packets then
+    Some
+      ( "quic-pn-index",
+        Printf.sprintf "packet-number index reaches %d of %d unacked packets" i.indexed_packets
+          i.unacked_packets )
   else if i.amp_credit < 0 then
     Some
       ( "quic-amplification",

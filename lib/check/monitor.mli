@@ -56,6 +56,9 @@
     - [quic-inflight-accounting] — the endpoint's incremental inflight
       ledger equals the sum over its unacked sent packets, and is never
       negative.
+    - [quic-pn-index] — walking packet numbers up from the endpoint's
+      packet-number index finds every unacked sent packet (the index's
+      lower bound never passes an outstanding packet).
     - [quic-quiesce] — a closed QUIC endpoint holds no armed idle timer
       (the close-time quiesce actually ran).
     - [quic-cwnd-bounds] — cwnd at least one byte.

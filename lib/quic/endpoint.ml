@@ -33,15 +33,9 @@ let persistent_congestion_threshold = 3.0
 
 type role = Client | Server
 
-type sent_packet = {
-  pn : int;
-  payload : int;
-  frames : Frame.t list;
-  sent_at : float;
-  ack_eliciting : bool;
-  mutable acked : bool;
-  mutable lost : bool;
-}
+(* An ack-eliciting packet awaiting its ACK.  It leaves [t.sent] the
+   moment it is acked or declared lost. *)
+type sent_packet = { pn : int; payload : int; frames : Frame.t list; sent_at : float }
 
 type stream_out = {
   id : int;
@@ -80,9 +74,15 @@ type t = {
   (* --- sender --- *)
   mutable pn_next : int;
   sent : (int, sent_packet) Hashtbl.t;
+  mutable low : int;
+      (* Packet-number index into [sent]: every key is in [low, pn_next).
+         Packet numbers are dense and monotone, so ACK processing, loss
+         detection and the PTO walk packet numbers from here instead of
+         scanning the table. *)
   mutable largest_acked : int;
   mutable inflight : int;
   streams_out : (int, stream_out) Hashtbl.t;
+  mutable streams_by_id : stream_out list;  (* [streams_out] in id order *)
   mutable send_timer : Engine.event_id option;
   mutable pto_timer : Engine.event_id option;
   mutable loss_timer : Engine.event_id option;  (* time-threshold reordering timer *)
@@ -123,7 +123,6 @@ type t = {
   mutable on_stream_fin : stream:int -> unit;
   (* --- stats --- *)
   mutable packets_sent : int;
-  mutable datagrams_sent : int;
   mutable rtx_chunks : int;
   mutable rtx_datagrams : int;
   mutable pto_count : int;
@@ -152,9 +151,11 @@ let create ~engine ~config ~cc ~flow ~dir ~wire ?cpu ?(hooks = Hooks.default) ~t
     flight_sent = false;
     pn_next = 0;
     sent = Hashtbl.create 256;
+    low = 0;
     largest_acked = -1;
     inflight = 0;
     streams_out = Hashtbl.create 16;
+    streams_by_id = [];
     send_timer = None;
     pto_timer = None;
     loss_timer = None;
@@ -178,7 +179,6 @@ let create ~engine ~config ~cc ~flow ~dir ~wire ?cpu ?(hooks = Hooks.default) ~t
     on_stream = (fun ~stream:_ _ -> ());
     on_stream_fin = (fun ~stream:_ -> ());
     packets_sent = 0;
-    datagrams_sent = 0;
     rtx_chunks = 0;
     rtx_datagrams = 0;
     pto_count = 0;
@@ -198,7 +198,6 @@ let cc t = t.cc
 let config t = t.config
 let inflight t = t.inflight
 let packets_sent t = t.packets_sent
-let datagrams_sent t = t.datagrams_sent
 let retransmitted_chunks t = t.rtx_chunks
 let rtx_datagrams t = t.rtx_datagrams
 let pto_events t = t.pto_count
@@ -222,7 +221,11 @@ let stream_out t id =
   | None ->
       let s = { id; next_offset = 0; queued = 0; fin_pending = false; fin_sent = false; rtx = [] } in
       Hashtbl.add t.streams_out id s;
+      let rec insert = function x :: rest when x.id < id -> x :: insert rest | l -> s :: l in
+      t.streams_by_id <- insert t.streams_by_id;
       s
+
+let has_pending s = s.queued > 0 || s.rtx <> [] || (s.fin_pending && not s.fin_sent)
 
 let stream_in t id =
   match Hashtbl.find_opt t.streams_in id with
@@ -293,9 +296,7 @@ let make_datagram t ?(rtx = false) frames =
   let ack_eliciting = List.exists Frame.is_ack_eliciting frames in
   Hashtbl.replace t.wire (t.dir, pn) frames;
   if ack_eliciting then begin
-    Hashtbl.replace t.sent
-      pn
-      { pn; payload; frames; sent_at = now t; ack_eliciting; acked = false; lost = false };
+    Hashtbl.replace t.sent pn { pn; payload; frames; sent_at = now t };
     t.inflight <- t.inflight + payload;
     if not t.ae_sent_since_rx then begin
       t.ae_sent_since_rx <- true;
@@ -303,11 +304,17 @@ let make_datagram t ?(rtx = false) frames =
     end
   end;
   t.bytes_sent <- t.bytes_sent + payload + t.config.Config.header_bytes;
-  t.datagrams_sent <- t.datagrams_sent + 1;
   t.packets_sent <- t.packets_sent + 1;
   if rtx then t.rtx_datagrams <- t.rtx_datagrams + 1;
   Packet.data ~flow:t.flow ~dir:t.dir ~seq:pn ~ack:0 ~payload ~header:t.config.Config.header_bytes
     ~rtx ~rwnd:t.config.Config.rcv_wnd ()
+
+(* Move [low] up to the oldest outstanding packet (or [pn_next] when none
+   is).  Each packet number is passed once over the connection's life. *)
+let advance_low t =
+  while t.low < t.pn_next && not (Hashtbl.mem t.sent t.low) do
+    t.low <- t.low + 1
+  done
 
 let transmit_burst t ~release packets =
   if Array.length packets > 0 then begin
@@ -344,68 +351,59 @@ let send_ack_now t =
     end
   end
 
-(* Pull the next stream chunk that fits in [space] payload bytes; rtx
-   chunks first, then new data, streams in id order.  Returns the chunk
-   and whether it is a retransmission. *)
+(* Pull the next stream chunk that fits in [space] payload bytes from the
+   lowest-id stream with something to send: its rtx chunks first, then new
+   data, then a bare FIN.  Returns the chunk and whether it is a
+   retransmission. *)
 let next_chunk t ~space =
   if space <= 8 then None
   else begin
-    let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.streams_out []) in
-    let rec try_streams = function
-      | [] -> None
-      | id :: rest -> (
-          let s = Hashtbl.find t.streams_out id in
-          match s.rtx with
-          | chunk :: more ->
-              t.rtx_chunks <- t.rtx_chunks + 1;
-              if chunk.Frame.length + 8 <= space then begin
-                s.rtx <- more;
-                Some (chunk, true)
-              end
-              else begin
-                (* Split the retransmission to fit the datagram. *)
-                let take = space - 8 in
-                let head = { chunk with Frame.length = take; fin = false } in
-                let tail =
-                  {
-                    chunk with
-                    Frame.offset = chunk.Frame.offset + take;
-                    length = chunk.Frame.length - take;
-                  }
-                in
-                s.rtx <- tail :: more;
-                Some (head, true)
-              end
-          | [] ->
-              if s.queued > 0 then begin
-                let take = min s.queued (space - 8) in
-                let fin = s.fin_pending && take = s.queued in
-                let chunk =
-                  { Frame.stream = id; offset = s.next_offset; length = take; fin }
-                in
-                s.next_offset <- s.next_offset + take;
-                s.queued <- s.queued - take;
-                if fin then begin
-                  s.fin_sent <- true;
-                  s.fin_pending <- false
-                end;
-                Some (chunk, false)
-              end
-              else if s.fin_pending && not s.fin_sent then begin
-                (* Bare FIN. *)
+    match List.find_opt has_pending t.streams_by_id with
+    | None -> None
+    | Some s -> (
+        match s.rtx with
+        | chunk :: more ->
+            t.rtx_chunks <- t.rtx_chunks + 1;
+            if chunk.Frame.length + 8 <= space then begin
+              s.rtx <- more;
+              Some (chunk, true)
+            end
+            else begin
+              (* Split the retransmission to fit the datagram. *)
+              let take = space - 8 in
+              let head = { chunk with Frame.length = take; fin = false } in
+              let tail =
+                {
+                  chunk with
+                  Frame.offset = chunk.Frame.offset + take;
+                  length = chunk.Frame.length - take;
+                }
+              in
+              s.rtx <- tail :: more;
+              Some (head, true)
+            end
+        | [] ->
+            if s.queued > 0 then begin
+              let take = min s.queued (space - 8) in
+              let fin = s.fin_pending && take = s.queued in
+              let chunk = { Frame.stream = s.id; offset = s.next_offset; length = take; fin } in
+              s.next_offset <- s.next_offset + take;
+              s.queued <- s.queued - take;
+              if fin then begin
                 s.fin_sent <- true;
-                s.fin_pending <- false;
-                Some ({ Frame.stream = id; offset = s.next_offset; length = 0; fin = true }, false)
-              end
-              else try_streams rest)
-    in
-    try_streams ids
+                s.fin_pending <- false
+              end;
+              Some (chunk, false)
+            end
+            else begin
+              (* Bare FIN. *)
+              s.fin_sent <- true;
+              s.fin_pending <- false;
+              Some ({ Frame.stream = s.id; offset = s.next_offset; length = 0; fin = true }, false)
+            end)
   end
 
-let has_data t =
-  Hashtbl.fold
-    (fun _ s acc -> acc || s.queued > 0 || s.rtx <> [] || (s.fin_pending && not s.fin_sent))
-    t.streams_out false
+let has_data t = List.exists has_pending t.streams_by_id
 
 (* RFC 9002 §6.2: PTO = srtt + max(4*rttvar, granularity) + max_ack_delay,
    scaled by the backoff multiplier and capped by [Config.pto_max]. *)
@@ -482,14 +480,8 @@ and handle_pto t =
     t.pto_backoff <- t.pto_backoff *. 2.0;
     (* Probe timeout: declare the oldest unacked datagram lost and resend
        its stream data. *)
-    let oldest =
-      Hashtbl.fold
-        (fun _ p acc ->
-          if p.acked || p.lost then acc
-          else match acc with None -> Some p | Some q -> if p.pn < q.pn then Some p else acc)
-        t.sent None
-    in
-    match oldest with
+    advance_low t;
+    match Hashtbl.find_opt t.sent t.low with
     | None ->
         (* RFC 9002 §6.2.2.1 anti-deadlock probe: until the handshake is
            confirmed a client keeps probing even with nothing ack-eliciting
@@ -512,11 +504,11 @@ and handle_pto t =
         check_persistent_congestion t;
         t.cc.Cc.on_loss ~now:(now t);
         arm_pto t;
-        let before = t.datagrams_sent in
+        let before = t.packets_sent in
         try_send t;
         (* Window-blocked (inflight above the collapsed cwnd): force the
            probe out anyway — see [send_probe]. *)
-        if t.datagrams_sent = before then send_probe t;
+        if t.packets_sent = before then send_probe t;
         (* A probe timeout means delivery stalled: whatever just went out —
            a forced probe, or a sliver [try_send] squeezed through the
            window the loss declaration reopened — will be acked across the
@@ -529,23 +521,18 @@ and handle_pto t =
   end
 
 and mark_lost t p =
-  if not (p.lost || p.acked) then begin
-    p.lost <- true;
-    t.inflight <- max 0 (t.inflight - p.payload);
-    if p.ack_eliciting then begin
-      t.pc_oldest <- Float.min t.pc_oldest p.sent_at;
-      t.pc_newest <- Float.max t.pc_newest p.sent_at
-    end;
-    List.iter
-      (fun frame ->
-        match frame with
-        | Frame.Stream chunk when chunk.Frame.length > 0 || chunk.Frame.fin ->
-            let s = stream_out t chunk.Frame.stream in
-            s.rtx <- chunk :: s.rtx
-        | Frame.Stream _ | Frame.Ack _ | Frame.Padding _ | Frame.Ping -> ())
-      p.frames;
-    Hashtbl.remove t.sent p.pn
-  end
+  t.inflight <- max 0 (t.inflight - p.payload);
+  t.pc_oldest <- Float.min t.pc_oldest p.sent_at;
+  t.pc_newest <- Float.max t.pc_newest p.sent_at;
+  List.iter
+    (fun frame ->
+      match frame with
+      | Frame.Stream chunk when chunk.Frame.length > 0 || chunk.Frame.fin ->
+          let s = stream_out t chunk.Frame.stream in
+          s.rtx <- chunk :: s.rtx
+      | Frame.Stream _ | Frame.Ack _ | Frame.Padding _ | Frame.Ping -> ())
+    p.frames;
+  Hashtbl.remove t.sent p.pn
 
 (* RFC 9002 §6.1: declare losses by packet threshold (3 newer packets
    acknowledged) or time threshold (sent at least 9/8 RTT before the
@@ -553,7 +540,13 @@ and mark_lost t p =
    lost immediately; younger unacked packets below [largest_acked] arm the
    loss timer for the moment their time threshold expires, so a hole that
    only one or two later packets cover (where the packet threshold never
-   fires) is still repaired in about an RTT instead of a full PTO. *)
+   fires) is still repaired in about an RTT instead of a full PTO.
+
+   The packet-number walk below [largest_acked] decides whether anything
+   is lost and when the timer fires.  The lost list itself comes from a
+   [Hashtbl.iter] pass: its order is the order lost chunks are pushed onto
+   the streams' rtx queues, which sets the retransmitted datagrams' sizes,
+   so it must not change. *)
 and detect_losses t =
   t.loss_timer <- cancel_timer t t.loss_timer;
   if t.largest_acked >= 0 && not t.closed then begin
@@ -566,27 +559,40 @@ and detect_losses t =
                granularity)
     in
     let now_ = now t in
-    let lost = ref [] and next_fire = ref infinity in
-    Hashtbl.iter
-      (fun _ p ->
-        if (not p.acked) && (not p.lost) && p.pn < t.largest_acked then
-          if p.pn <= t.largest_acked - loss_threshold then lost := p :: !lost
-          else
-            match threshold with
-            | Some th ->
-                (* One consistent deadline expression for both the test and
-                   the timer, or float rounding lets the timer fire at an
-                   instant where the packet is still "not yet lost" and
-                   re-arm at the same instant forever. *)
-                let deadline = p.sent_at +. th in
-                if deadline <= now_ then begin
-                  t.time_loss_detections <- t.time_loss_detections + 1;
-                  lost := p :: !lost
-                end
-                else next_fire := Float.min !next_fire deadline
-            | None -> ())
-      t.sent;
-    if !lost <> [] then begin
+    (* One consistent deadline expression for both the test and the timer,
+       or float rounding lets the timer fire at an instant where the packet
+       is still "not yet lost" and re-arm at the same instant forever. *)
+    let verdict p =
+      if p.pn <= t.largest_acked - loss_threshold then `Lost
+      else
+        match threshold with
+        | Some th ->
+            let deadline = p.sent_at +. th in
+            if deadline <= now_ then `Lost_by_time else `Pending deadline
+        | None -> `Pending infinity
+    in
+    advance_low t;
+    let any_lost = ref false and next_fire = ref infinity in
+    for pn = t.low to t.largest_acked - 1 do
+      match Hashtbl.find_opt t.sent pn with
+      | None -> ()
+      | Some p -> (
+          match verdict p with
+          | `Lost | `Lost_by_time -> any_lost := true
+          | `Pending deadline -> next_fire := Float.min !next_fire deadline)
+    done;
+    if !any_lost then begin
+      let lost = ref [] in
+      Hashtbl.iter
+        (fun _ p ->
+          if p.pn < t.largest_acked then
+            match verdict p with
+            | `Lost -> lost := p :: !lost
+            | `Lost_by_time ->
+                t.time_loss_detections <- t.time_loss_detections + 1;
+                lost := p :: !lost
+            | `Pending _ -> ())
+        t.sent;
       List.iter (mark_lost t) !lost;
       check_persistent_congestion t;
       t.cc.Cc.on_loss ~now:now_
@@ -834,23 +840,30 @@ let process_stream_chunk t (chunk : Frame.stream_chunk) =
   if chunk.Frame.fin then s.fin_offset <- Some (chunk.Frame.offset + chunk.Frame.length);
   deliver_stream t chunk.Frame.stream
 
+(* Look up each acknowledged packet number still outstanding: the ranges
+   clipped to [low, pn_next).  The sums, the max and the inflight update do
+   not depend on the order packets are found in. *)
 let process_ack t ranges =
-  let in_ranges pn = List.exists (fun (lo, hi) -> pn >= lo && pn <= hi) ranges in
-  let newly =
-    Hashtbl.fold
-      (fun _ p acc -> if (not p.acked) && in_ranges p.pn then p :: acc else acc)
-      t.sent []
-  in
-  if newly <> [] then begin
-    let largest = List.fold_left (fun acc p -> max acc p.pn) (-1) newly in
-    let total = List.fold_left (fun acc p -> acc + p.payload) 0 newly in
-    List.iter
-      (fun p ->
-        p.acked <- true;
-        t.inflight <- max 0 (t.inflight - p.payload);
-        Hashtbl.remove t.sent p.pn;
-        Hashtbl.remove t.wire (t.dir, p.pn))
-      newly;
+  advance_low t;
+  let largest = ref (-1) and largest_sent_at = ref 0.0 and total = ref 0 in
+  List.iter
+    (fun (lo, hi) ->
+      for pn = max lo t.low to min hi (t.pn_next - 1) do
+        match Hashtbl.find_opt t.sent pn with
+        | None -> ()
+        | Some p ->
+            t.inflight <- max 0 (t.inflight - p.payload);
+            total := !total + p.payload;
+            if pn > !largest then begin
+              largest := pn;
+              largest_sent_at := p.sent_at
+            end;
+            Hashtbl.remove t.sent pn;
+            Hashtbl.remove t.wire (t.dir, pn)
+      done)
+    ranges;
+  if !largest >= 0 then begin
+    let largest = !largest in
     t.largest_acked <- max t.largest_acked largest;
     (* Forward progress: reset the PTO backoff and the persistent-congestion
        span (RFC 9002 §6.2.1, §7.6.2). *)
@@ -858,20 +871,10 @@ let process_ack t ranges =
     t.pc_oldest <- infinity;
     t.pc_newest <- neg_infinity;
     (* RTT sample from the largest newly-acked packet. *)
-    let sample =
-      List.fold_left
-        (fun acc p -> if p.pn = largest then Some (now t -. p.sent_at) else acc)
-        None newly
-    in
-    (match sample with
-    | Some s ->
-        t.latest_rtt <- s;
-        Rtt.observe t.rtt s
-    | None -> ());
-    let rtt_for_cc =
-      match sample with Some s -> s | None -> Option.value ~default:0.1 (Rtt.srtt t.rtt)
-    in
-    t.cc.Cc.on_ack ~now:(now t) ~acked:total ~rtt:rtt_for_cc ~inflight:t.inflight
+    let sample = now t -. !largest_sent_at in
+    t.latest_rtt <- sample;
+    Rtt.observe t.rtt sample;
+    t.cc.Cc.on_ack ~now:(now t) ~acked:!total ~rtt:sample ~inflight:t.inflight
       ~limited:(largest <= t.rate_limited_mark);
     detect_losses t;
     (* Keep the PTO armed on a pre-confirmation client even with nothing in
@@ -892,7 +895,10 @@ let receive t (p : Packet.t) =
     let was_blocked = t.amp_blocked in
     if was_blocked then t.amp_blocked <- false;
     (match Hashtbl.find_opt t.wire (p.Packet.dir, p.Packet.seq) with
-    | None -> ()  (* metadata already collected (duplicate) or padding-only cleanup *)
+    | None ->
+        (* A duplicate whose metadata is gone: an ack-eliciting datagram the
+           peer has already seen acknowledged, or an ACK-only one. *)
+        ()
     | Some frames ->
         t.received <- insert_range t.received p.Packet.seq;
         let ack_eliciting = List.exists Frame.is_ack_eliciting frames in
@@ -903,6 +909,9 @@ let receive t (p : Packet.t) =
             | Frame.Ack { ranges } -> process_ack t ranges
             | Frame.Padding _ | Frame.Ping -> ())
           frames;
+        (* Nothing acks an ACK-only datagram, so free its metadata now; a
+           duplicate of it would change nothing. *)
+        if not ack_eliciting then Hashtbl.remove t.wire (p.Packet.dir, p.Packet.seq);
         if ack_eliciting && not t.closed then begin
           t.pkts_since_ack <- t.pkts_since_ack + 1;
           if t.pkts_since_ack >= t.config.Config.ack_every then
@@ -945,6 +954,7 @@ type inspection = {
   inflight : int;
   unacked_bytes : int;  (* recomputed from the sent table, for cross-checks *)
   unacked_packets : int;
+  indexed_packets : int;  (* the same packets, found through [low] *)
   cwnd : int;
   pto_count : int;
   pto_backoff : float;
@@ -963,16 +973,19 @@ type inspection = {
 
 let inspect (t : t) : inspection =
   let unacked_bytes, unacked_packets =
-    Hashtbl.fold
-      (fun _ p (b, n) -> if p.acked || p.lost then (b, n) else (b + p.payload, n + 1))
-      t.sent (0, 0)
+    Hashtbl.fold (fun _ p (b, n) -> (b + p.payload, n + 1)) t.sent (0, 0)
   in
+  let indexed_packets = ref 0 in
+  for pn = t.low to t.pn_next - 1 do
+    if Hashtbl.mem t.sent pn then incr indexed_packets
+  done;
   {
     pn_next = t.pn_next;
     largest_acked = t.largest_acked;
     inflight = t.inflight;
     unacked_bytes;
     unacked_packets;
+    indexed_packets = !indexed_packets;
     cwnd = t.cc.Cc.cwnd ();
     pto_count = t.pto_count;
     pto_backoff = t.pto_backoff;

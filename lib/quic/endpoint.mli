@@ -92,7 +92,7 @@ val receive : t -> Stob_net.Packet.t -> unit
 
 val inflight : t -> int
 val packets_sent : t -> int
-val datagrams_sent : t -> int
+(** Datagrams sent, of every kind (each carries one QUIC packet). *)
 
 val retransmitted_chunks : t -> int
 (** Stream chunks pulled from a retransmission queue (a resent chunk split
@@ -129,6 +129,10 @@ type inspection = {
       (** Recomputed sum over the sent-packet table; must equal [inflight]
           (the quic-inflight-accounting invariant). *)
   unacked_packets : int;
+  indexed_packets : int;
+      (** The same packets counted by walking packet numbers up from the
+          sender's packet-number index; must equal [unacked_packets] (the
+          quic-pn-index invariant). *)
   cwnd : int;
   pto_count : int;
   pto_backoff : float;

@@ -9,7 +9,8 @@ module Qendpoint = Stob_quic.Endpoint
 (* HTTP/3 frame overhead per message (HEADERS/DATA frame headers, QPACK). *)
 let h3_overhead = 24
 
-let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ~rng profile =
+let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ?(on_connection = ignore) ~rng
+    profile =
   let engine = Engine.create () in
   let rate_bps, delay = Profile.sample_network profile rng in
   let queue_capacity = max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
@@ -103,6 +104,7 @@ let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ~rng profile
       Hashtbl.replace stream_of stream (html, `Html);
       Hashtbl.replace jobs stream (html.Resource.size + h3_overhead, html.Resource.think);
       Qendpoint.send_stream client ~stream ~fin:true (html.Resource.request_bytes + h3_overhead));
+  on_connection conn;
   Qconn.open_ conn;
   Engine.run ~until:max_time engine;
   {

@@ -392,6 +392,41 @@ let test_rtx_oracle_agreement () =
     ~drops:(Path.drops w.path) ~drained:true;
   Alcotest.(check int) "oracle agrees" 0 (List.length (Monitor.violations monitor))
 
+(* quic-pn-index: the packet-number index finds every outstanding packet at
+   every send decision of a lossy, reordered transfer, and the monitor
+   flags an inspection where it does not. *)
+let test_pn_index_invariant () =
+  let impair seed =
+    Netem.spec
+      {
+        Netem.default with
+        Netem.loss = Netem.Iid 0.05;
+        reorder_prob = 0.1;
+        reorder_depth = 3;
+        reorder_hold = 0.05;
+        seed;
+      }
+  in
+  let w =
+    make_world ~queue_capacity:10_000_000 ~client_netem:(impair 5) ~server_netem:(impair 6) ()
+  in
+  let monitor = Monitor.create ~mode:Monitor.Collect w.engine in
+  Monitor.observe_quic monitor ~name:"client" (Connection.client w.conn);
+  Monitor.observe_quic monitor ~name:"server" (Connection.server w.conn);
+  Connection.on_established w.conn (fun () ->
+      Endpoint.send_stream (Connection.server w.conn) ~stream:4 ~fin:true 300_000);
+  Connection.open_ w.conn;
+  Engine.run ~until:60.0 w.engine;
+  Alcotest.(check int) "full delivery" 300_000 (got w.client_rx 4);
+  Alcotest.(check bool) "losses were declared" true
+    (Endpoint.retransmitted_chunks (Connection.server w.conn) > 0);
+  Alcotest.(check (list string)) "no violations" []
+    (List.map Stob_check.Violation.to_string (Monitor.violations monitor));
+  let i = Endpoint.inspect (Connection.server w.conn) in
+  let doctored = { i with Endpoint.indexed_packets = i.Endpoint.unacked_packets + 1 } in
+  Alcotest.(check (option string)) "doctored index flagged" (Some "quic-pn-index")
+    (Option.map fst (Monitor.check_quic_inspection doctored))
+
 (* The mixed TCP+QUIC smoke battery is jobs-invariant, shard for shard. *)
 let test_mixed_soak_jobs_parity () =
   let config = { Soak.smoke_config with Soak.transport = `Mixed } in
@@ -458,6 +493,106 @@ let prop_quic_delivery_under_netem =
       Engine.run ~until:90.0 w.engine;
       got w.server_rx 4 = 600 && got w.client_rx 4 = response)
 
+(* --- Golden behaviour lock --- *)
+
+(* One HTTP/3 page load per cell of {no policy, stack_combined} x {no
+   netem, Gilbert-Elliott loss, reorder, duplication} x {CUBIC, BBR}, at
+   a fixed seed.  Each cell's trace (floats as [%h]), load outcome, netem
+   counters and both endpoints' loss-recovery state are digested, so any
+   change to retransmission order, loss detection or ACK handling that
+   moves one bit of a datagram's size or time fails here.  The perfbench
+   corpora run no netem; this matrix covers the impaired paths.
+   Recompute the digests only for an intended behaviour change. *)
+let golden_netems =
+  let impair config seed = Some (Netem.spec { config with Netem.seed }) in
+  [
+    ("clean", fun _ -> None);
+    ( "gilbert-elliott",
+      impair
+        {
+          Netem.default with
+          Netem.loss =
+            Netem.Gilbert_elliott { p_gb = 0.02; p_bg = 0.3; loss_good = 0.005; loss_bad = 0.5 };
+        } );
+    ( "reorder",
+      impair
+        { Netem.default with Netem.reorder_prob = 0.1; reorder_depth = 3; reorder_hold = 0.05 } );
+    ("duplicate", impair { Netem.default with Netem.duplicate_prob = 0.1 });
+  ]
+
+let golden_render_endpoint buf ep =
+  let i = Endpoint.inspect ep in
+  Printf.bprintf buf "pn=%d la=%d inf=%d ub=%d up=%d cwnd=%d pto=%d bo=%h amp=%d rx=%d tx=%d"
+    i.Endpoint.pn_next i.largest_acked i.inflight i.unacked_bytes i.unacked_packets i.cwnd
+    i.pto_count i.pto_backoff i.amp_credit i.bytes_received i.bytes_sent;
+  Printf.bprintf buf " est=%b closed=%b reason=%s idle=%b rtxd=%d rtxc=%d tld=%d pc=%d" i.established
+    i.closed
+    (Option.value ~default:"-" i.close_reason)
+    i.idle_armed i.rtx_datagrams i.rtx_chunks i.time_loss_detections i.persistent_congestions;
+  Printf.bprintf buf " sent=%d ptos=%d tlds=%d chunks=%d rtxdg=%d\n" (Endpoint.packets_sent ep)
+    (Endpoint.pto_events ep) (Endpoint.time_loss_detections ep)
+    (Endpoint.retransmitted_chunks ep) (Endpoint.rtx_datagrams ep)
+
+let golden_cell ~policy ~netem ~cc =
+  let conn = ref None in
+  let r =
+    Stob_web.Browser_quic.load ?policy ~cc ?client_netem:(netem 11) ?server_netem:(netem 12)
+      ~on_connection:(fun c -> conn := Some c)
+      ~rng:(Rng.create 42) (Stob_web.Sites.find "wikipedia.org")
+  in
+  let buf = Buffer.create 65536 in
+  Array.iter
+    (fun (e : Trace.event) ->
+      Printf.bprintf buf "%h %c %d\n" e.Trace.time
+        (if e.Trace.dir = Packet.Outgoing then 'o' else 'i')
+        e.Trace.size)
+    r.Stob_web.Browser.trace;
+  let s = r.Stob_web.Browser.netem_stats in
+  Printf.bprintf buf "completed=%b load=%h bytes=%d netem=%d/%d/%d/%d/%d\n"
+    r.Stob_web.Browser.completed r.load_time r.bytes_downloaded s.Netem.offered s.lost
+    s.duplicated s.reordered s.delivered;
+  let conn = Option.get !conn in
+  golden_render_endpoint buf (Connection.client conn);
+  golden_render_endpoint buf (Connection.server conn);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_digests =
+  [
+    ("none/clean/cubic", "a182e3f339ca7f92a733ab4461556e30");
+    ("none/clean/bbr", "75957769b594452018d8394feb4d58c3");
+    ("none/gilbert-elliott/cubic", "c60097f69520aad53aa69b1b3775c0bc");
+    ("none/gilbert-elliott/bbr", "afe026b3bb468a83bc02a3a75c2274b7");
+    ("none/reorder/cubic", "ba3d5faec1b153527ae4c176fb5040f5");
+    ("none/reorder/bbr", "0435ed83315470db4902290774356a3c");
+    ("none/duplicate/cubic", "4222570bf55155907c77316ebc34d899");
+    ("none/duplicate/bbr", "202740d162b64215b099da8f15601f7d");
+    ("combined/clean/cubic", "c7b82b137b6f09a29b7b203e6e348ce8");
+    ("combined/clean/bbr", "17b965502791ee17a441383b2b47093b");
+    ("combined/gilbert-elliott/cubic", "c18f3f01d12eb49c67827557bfd3c346");
+    ("combined/gilbert-elliott/bbr", "c9d5ef69ad4c540f25e5e47953d6bd3a");
+    ("combined/reorder/cubic", "b375402a677e3727d1caf1a7dfb061db");
+    ("combined/reorder/bbr", "71efe0bf2eb5c2267e2932f58bd24601");
+    ("combined/duplicate/cubic", "a5034cfa4b09841babec6f118168582a");
+    ("combined/duplicate/bbr", "155a29138edbb916118a45ed14fa0e34");
+  ]
+
+let test_golden_matrix () =
+  let policies = [ ("none", None); ("combined", Some (Stob_core.Strategies.stack_combined ())) ] in
+  let ccs = [ ("cubic", Stob_tcp.Cubic.make); ("bbr", Stob_tcp.Bbr.make) ] in
+  let got =
+    List.concat_map
+      (fun (pname, policy) ->
+        List.concat_map
+          (fun (nname, netem) ->
+            List.map
+              (fun (cname, cc) ->
+                (String.concat "/" [ pname; nname; cname ], golden_cell ~policy ~netem ~cc))
+              ccs)
+          golden_netems)
+      policies
+  in
+  Alcotest.(check (list (pair string string))) "per-cell digests" golden_digests got
+
 let suite =
   [
     ( "quic.frame",
@@ -491,7 +626,9 @@ let suite =
           test_persistent_congestion_blackhole;
         Alcotest.test_case "bbr starvation rate taint" `Quick test_bbr_starvation_rate_taint;
         Alcotest.test_case "rtx oracle agreement" `Quick test_rtx_oracle_agreement;
+        Alcotest.test_case "pn index invariant" `Quick test_pn_index_invariant;
         Alcotest.test_case "mixed soak jobs parity" `Quick test_mixed_soak_jobs_parity;
         QCheck_alcotest.to_alcotest prop_quic_delivery_under_netem;
       ] );
+    ("quic.golden", [ Alcotest.test_case "page-load matrix pinned" `Quick test_golden_matrix ]);
   ]
