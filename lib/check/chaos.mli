@@ -31,8 +31,6 @@ type workload =
   | Fanout of int  (** [n] connections opening 300 ms apart, sharing the
                        server CPU and fq qdisc. *)
 
-val workload_name : workload -> string
-
 type scenario = {
   cca : string;  (** ["reno"], ["cubic"] or ["bbr"]. *)
   fault : Stob_sim.Fault.kind option;  (** [None] = control cell. *)
@@ -146,5 +144,4 @@ val shrink :
     length, the prefix itself, and the report of the minimal replay.
     Deterministic: the same seed always shrinks to the same prefix. *)
 
-val pp_report : Format.formatter -> report -> unit
 val print_sweep : report list -> unit

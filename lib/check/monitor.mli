@@ -85,8 +85,6 @@ val create : ?mode:mode -> ?max_stored:int -> Stob_sim.Engine.t -> t
     {!total} keeps counting past the cap.  Raises [Invalid_argument] when
     [max_stored < 1]. *)
 
-val mode : t -> mode
-
 val record : t -> Violation.t -> unit
 (** Count (and in [Raise] mode, raise) a violation detected externally —
     the chaos harness feeds {!Stob_sim.Engine.Livelock} through this. *)

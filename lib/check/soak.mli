@@ -100,34 +100,6 @@ val spec_of_rng :
     and QUIC-only draws (flight size, blackhole) trail, so a [`Tcp]
     (default) stream is identical to the pre-QUIC battery. *)
 
-val add_flow :
-  engine:Stob_sim.Engine.t ->
-  monitor:Monitor.t ->
-  id:int ->
-  start:float ->
-  on_done:(flow_result -> unit) ->
-  flow_spec ->
-  unit
-(** Schedule one TCP flow on a shared engine: it starts at [start]
-    (absolute virtual time) and is reaped — result handed to [on_done],
-    references dropped — exactly [horizon] later. *)
-
-val add_quic_flow :
-  engine:Stob_sim.Engine.t ->
-  monitor:Monitor.t ->
-  id:int ->
-  start:float ->
-  on_done:(flow_result -> unit) ->
-  flow_spec ->
-  unit
-(** QUIC counterpart of {!add_flow}: request on stream 4 at handshake
-    confirmation, response at the request FIN, client closes shortly after
-    the response FIN, and the {e server} is left to close via the idle
-    timeout — so every clean flow also exercises idle-close + quiesce.
-    Both endpoints run under {!Monitor.observe_quic}, with a reap-time
-    {!Monitor.check_quic_inspection} sweep for flows that wedged without
-    sending. *)
-
 val run_flow : flow_spec -> flow_result * (string * int) list
 (** Run one flow (TCP or QUIC, per [spec.transport]) on a private engine
     under a private monitor; returns the reaped result and the monitor's
@@ -176,10 +148,6 @@ type shard_report = {
   sim_seconds : float;
 }
 
-val fault_shard : config -> int -> bool
-val run_shard : config -> int -> shard_report
-(** Pure in [(config, shard)] — the jobs-parity and resume contracts. *)
-
 type summary = {
   shards : int;
   cached_shards : int;  (** Served from a previous run's journal. *)
@@ -226,8 +194,6 @@ val run :
 val transport_name : [ `Tcp | `Quic | `Mixed ] -> string
 val transport_of_name : string -> [ `Tcp | `Quic | `Mixed ]
 (** Raises [Invalid_argument] on an unknown name. *)
-
-val config_fields : config -> (string * string) list
 
 val gate_failures : ?jobs:int -> config -> summary -> string list
 (** The soak's pass/fail gates, shared by [bench/main.exe soak] and

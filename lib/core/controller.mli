@@ -59,9 +59,6 @@ type breaker = {
           beyond it the consultation is killed and counted as a failure. *)
 }
 
-val default_breaker : breaker
-(** 3 failures within 1 s; 50 ms stall budget. *)
-
 type degradation_report = {
   rung : rung;  (** Final rung when the report was read. *)
   decisions : int;
@@ -89,4 +86,3 @@ val guard :
     or a negative [stall_budget].  Install the wrapped hook; read the
     report after the run. *)
 
-val pp_degradation_report : Format.formatter -> degradation_report -> unit

@@ -10,8 +10,6 @@ let set_global t p = t.global <- Some p
 let set_for_destination t dest p = Hashtbl.replace t.by_destination dest p
 let set_for_flow t flow p = Hashtbl.replace t.by_flow flow p
 let remove_flow t flow = Hashtbl.remove t.by_flow flow
-let remove_destination t dest = Hashtbl.remove t.by_destination dest
-let clear_global t = t.global <- None
 
 let lookup t ?destination flow =
   match Hashtbl.find_opt t.by_flow flow with

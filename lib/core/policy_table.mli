@@ -16,8 +16,6 @@ val set_for_destination : t -> string -> Policy.t -> unit
 val set_for_flow : t -> int -> Policy.t -> unit
 
 val remove_flow : t -> int -> unit
-val remove_destination : t -> string -> unit
-val clear_global : t -> unit
 
 val lookup : t -> ?destination:string -> int -> Policy.t
 (** Resolution order: flow-specific, then destination, then global, then

@@ -10,6 +10,7 @@ type params = {
   dummy_size : int;
 }
 
+(* The paper's FT-1-ish setting scaled to short HTTPS traces. *)
 let default_params =
   { n_client_max = 600; n_server_max = 1400; w_min = 1.0; w_max = 8.0; dummy_size = 1500 }
 

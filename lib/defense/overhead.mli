@@ -13,10 +13,6 @@ val bandwidth_overhead : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t 
 val latency_overhead : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> float
 (** Extra trace duration relative to the original. *)
 
-val packet_overhead : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> float
-(** Extra packets relative to the original (header-cost proxy for size
-    modification). *)
-
 type summary = { bandwidth : float; latency : float; packets : float }
 
 val summarize : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> summary
@@ -24,4 +20,3 @@ val summarize : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> summar
 val mean_summary : summary list -> summary
 (** Component-wise mean over a corpus. *)
 
-val pp : Format.formatter -> summary -> unit

@@ -349,6 +349,7 @@ let generate ?(pool = Pool.sequential) ?on_shard c ~state_dir =
 let iter_shard_traces ~state_dir ~shard f =
   List.iter (fun payload -> f (Packed.of_bytes payload)) (Journal.read (shard_file ~state_dir shard))
 
+(* Visits per site name, rank order. *)
 let site_visit_table summary =
   let names =
     Array.map (fun (p : Profile.t) -> p.Profile.name) (universe summary.config)

@@ -118,7 +118,4 @@ val iter_shard_traces : state_dir:string -> shard:int -> (Stob_net.Packed_trace.
 (** Stream one shard's journaled traces, oldest first — O(shard) memory.
     A missing shard file iterates nothing. *)
 
-val site_visit_table : summary -> (string * int) array
-(** Aggregate visits per site name, rank order. *)
-
 val pp_summary : Format.formatter -> summary -> unit

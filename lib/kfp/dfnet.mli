@@ -10,11 +10,11 @@
     attacks notable.
 
     Training and inference run on the batched float32 engine
-    ({!Stob_nn.Tensor}/{!Stob_nn.Network}); [build_reference] exposes the
-    same architecture on the kept-as-oracle per-sample engine
-    ({!Stob_nn.Reference}) for the parity and BENCH_dfnet gates.  Both
+    ({!Stob_nn.Tensor}/{!Stob_nn.Network}).  The test-only
+    [Stob_oracle.Dfnet] builds the same architecture on the per-sample
+    float64 oracle engine for the parity and BENCH_dfnet gates.  Both
     builders draw from the RNG in the same order, so the same seed gives
-    the batched net the float32 rounding of the reference net's weights.
+    the batched net the float32 rounding of the oracle net's weights.
 
     Scaled for CPU training on simulator corpora: 600-step input, 8/16
     filters (the original uses 5000 steps and hundreds of filters on a
@@ -37,10 +37,6 @@ val encode_packed : Stob_net.Packed_trace.t array -> Stob_nn.Tensor.t
 
 val build : rng:Stob_util.Rng.t -> n_classes:int -> t
 (** The DF architecture on the batched engine. *)
-
-val build_reference : rng:Stob_util.Rng.t -> n_classes:int -> Stob_nn.Reference.Network.t
-(** The same architecture, same draw order, on the per-sample float64
-    oracle — the baseline for the parity/speedup gates. *)
 
 val train :
   ?epochs:int ->

@@ -2,6 +2,7 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 module Stats = Stob_util.Stats
 
+(* Packets per concentration chunk, as in the original attack. *)
 let chunk_size = 20
 
 (* Evenly-spaced subsample of an arbitrary-length series, padded with 0. *)

@@ -24,5 +24,3 @@ val extract_packed : Stob_net.Packed_trace.t -> float array
 (** [extract (Packed_trace.to_trace pt)], for traces read back from the
     population journals. *)
 
-val chunk_size : int
-(** Packets per concentration chunk (20, as in the original attack). *)

@@ -44,7 +44,7 @@ let majority counts =
    levels.
 
    Determinism contract (bit-for-bit with the seed trainer, pinned by the
-   Reference parity battery in test/test_ml.ml):
+   Stob_oracle.Forest parity battery in test/test_ml.ml):
    - boundaries are considered in ascending value order, only where the
      value strictly increases; thresholds are midpoints [(v +. v') /. 2.];
    - a candidate replaces the incumbent only when strictly better, with
@@ -396,22 +396,6 @@ let train ?(params = default_params) ~rng ~n_classes ~features ~labels () =
   let orders = Matrix.presorted matrix in
   let sample = Array.init (Array.length features) (fun i -> i) in
   train_presorted ~params ~rng ~n_classes ~matrix ~labels ~sample ~orders ()
-
-let rec descend node x =
-  match node with
-  | Leaf l -> l
-  | Split { feature; threshold; left; right } ->
-      if x.(feature) <= threshold then descend left x else descend right x
-
-let predict t x = (descend t.root x).label
-let predict_dist t x = Array.copy (descend t.root x).dist
-let leaf_id t x = (descend t.root x).id
-
-let add_dist t x ~into =
-  let dist = (descend t.root x).dist in
-  for c = 0 to Array.length dist - 1 do
-    into.(c) <- into.(c) +. dist.(c)
-  done
 
 let rec descend_m node m row =
   match node with

@@ -11,10 +11,10 @@
     incremental class counts, and children are carved out by stable
     in-place partition — no per-node sorting, no list round-trips, no
     allocation in the scan loop.  The produced trees are bit-identical to
-    the seed's naive row-major trainer (kept as {!Reference}); the
-    tie-breaking rules that guarantee this are documented in HACKING.md
-    ("Classifier hot path") and pinned by the parity battery in
-    [test/test_ml.ml]. *)
+    the seed's naive row-major trainer (kept as the test-only oracle
+    [Stob_oracle.Forest]); the tie-breaking rules that guarantee this are
+    documented in HACKING.md ("Classifier hot path") and pinned by the
+    parity battery in [test/test_ml.ml]. *)
 
 type params = {
   max_depth : int;
@@ -56,24 +56,15 @@ val train_presorted :
     bootstrap position to a matrix row (duplicates welcome); [labels] is
     indexed by matrix row.  Only per-tree scratch is allocated. *)
 
-val predict : t -> float array -> int
-val predict_dist : t -> float array -> float array
-(** Class distribution at the reached leaf (fresh copy). *)
-
-val add_dist : t -> float array -> into:float array -> unit
-(** Accumulate the reached leaf's distribution into [into] without
-    copying — the forest [predict_proba] hot path.  [into] must have at
-    least [n_classes] slots. *)
-
-val leaf_id : t -> float array -> int
-(** Identifier of the leaf a sample lands in (k-FP's fingerprint element).
-    Leaves are numbered consecutively from 0 in construction order. *)
-
 val predict_m : t -> Matrix.t -> int -> int
-(** [predict_m t m row]: {!predict} reading row [row] of a column matrix
-    directly — batch inference without materializing rows. *)
+(** [predict_m t m row]: the label of the leaf that row [row] of a column
+    matrix lands in, read straight from the matrix — inference never
+    materializes rows. *)
 
 val leaf_id_m : t -> Matrix.t -> int -> int
+(** Identifier of the leaf row [row] lands in (k-FP's fingerprint
+    element).  Leaves are numbered consecutively from 0 in construction
+    order. *)
 
 val n_leaves : t -> int
 val depth : t -> int
@@ -89,4 +80,4 @@ val fold :
   split:(feature:int -> threshold:float -> 'a -> 'a -> 'a) ->
   'a
 (** Bottom-up structural fold, used by the parity tests to compare a tree
-    against the {!Reference} oracle node-for-node. *)
+    against the [Stob_oracle.Forest] oracle node-for-node. *)

@@ -56,28 +56,10 @@ let train ?params ?pool ~n_classes ~features ~labels () =
   if Array.length features = 0 then invalid_arg "Random_forest.train: no samples";
   train_m ?params ?pool ~n_classes ~matrix:(Matrix.of_rows features) ~labels ()
 
-let predict_proba t x =
-  let acc = Array.make t.n_classes 0.0 in
-  Array.iter (fun tree -> Decision_tree.add_dist tree x ~into:acc) t.trees;
-  let n = float_of_int (Array.length t.trees) in
-  for c = 0 to t.n_classes - 1 do
-    acc.(c) <- acc.(c) /. n
-  done;
-  acc
-
 let vote_argmax votes =
   let best = ref 0 in
   Array.iteri (fun c v -> if v > votes.(!best) then best := c) votes;
   !best
-
-let predict t x =
-  let votes = Array.make t.n_classes 0 in
-  Array.iter
-    (fun tree ->
-      let c = Decision_tree.predict tree x in
-      votes.(c) <- votes.(c) + 1)
-    t.trees;
-  vote_argmax votes
 
 let predict_all t m =
   let votes = Array.make t.n_classes 0 in
@@ -90,15 +72,12 @@ let predict_all t m =
         t.trees;
       vote_argmax votes)
 
-let leaf_fingerprint t x = Array.map (fun tree -> Decision_tree.leaf_id tree x) t.trees
-
 let leaf_fingerprint_m t m row =
   Array.map (fun tree -> Decision_tree.leaf_id_m tree m row) t.trees
 
 let leaf_fingerprints t m = Array.init (Matrix.n_rows m) (fun row -> leaf_fingerprint_m t m row)
 
 let n_trees t = Array.length t.trees
-let n_classes t = t.n_classes
 
 let trees t = Array.copy t.trees
 

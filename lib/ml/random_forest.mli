@@ -2,7 +2,7 @@
 
     This is the classifier inside k-FP (Hayes & Danezis): each tree trains
     on a bootstrap resample considering ~sqrt(d) features per split;
-    classification is the majority vote.  [leaf_fingerprint] exposes the
+    classification is the majority vote.  [leaf_fingerprints] exposes the
     per-tree leaf identifiers — the "fingerprint" that gives k-FP its name,
     used with Hamming-distance k-NN in the open-world attack variant.
 
@@ -49,22 +49,13 @@ val train_m :
     for any domain count (and to the historical sequential behavior).
     Build the matrix once per fold and share it — it is read-only. *)
 
-val predict : t -> float array -> int
-(** Majority vote over the trees (ties break toward the lower label). *)
-
 val predict_all : t -> Matrix.t -> int array
-(** Batch {!predict} over every row of a test matrix (one reusable vote
-    buffer, no row materialization). *)
-
-val predict_proba : t -> float array -> float array
-(** Mean leaf class distribution over trees (accumulated in place — no
-    per-tree copies). *)
-
-val leaf_fingerprint : t -> float array -> int array
-(** One leaf id per tree. *)
+(** Majority vote over the trees for every row of a test matrix (ties
+    break toward the lower label; one reusable vote buffer, no row
+    materialization). *)
 
 val leaf_fingerprint_m : t -> Matrix.t -> int -> int array
-(** [leaf_fingerprint] for one row of a column matrix. *)
+(** One leaf id per tree for one row of a column matrix. *)
 
 val leaf_fingerprints : t -> Matrix.t -> int array array
 (** Batch fingerprints for every row of a matrix. *)
@@ -74,7 +65,6 @@ val feature_importance : t -> float array
     for a forest of stumps that never split). *)
 
 val n_trees : t -> int
-val n_classes : t -> int
 
 val trees : t -> Decision_tree.t array
 (** The individual trees, in training order (fresh array, shared trees) —

@@ -10,21 +10,16 @@
 
 type t
 
-val default_chunk_events : int
-(** 4096 events (48 KiB) per chunk. *)
-
-val max_size : int
-(** Largest representable wire size, [2^30 - 1]. *)
-
 val create : ?chunk_events:int -> unit -> t
-(** Raises [Invalid_argument] when [chunk_events < 1]. *)
+(** [chunk_events] defaults to 4096 (48 KiB per chunk).  Raises
+    [Invalid_argument] when [chunk_events < 1]. *)
 
 val length : t -> int
 (** Events added since the last [reset]. *)
 
 val add : t -> time:float -> dir:Packet.direction -> size:int -> unit
 (** Append one event.  Raises [Invalid_argument] when [size] is outside
-    [[0, {!max_size}]]. *)
+    [[0, 2^30 - 1]]. *)
 
 val reset : t -> unit
 (** Forget the contents, keeping the allocated chunks for reuse. *)

@@ -13,8 +13,6 @@ val direction_sign : direction -> int
 (** [+1] for [Outgoing], [-1] for [Incoming] — the signed representation WF
     literature uses. *)
 
-val pp_direction : Format.formatter -> direction -> unit
-
 type t = {
   flow : int;  (** Connection identifier (demux key on a shared path). *)
   dir : direction;
@@ -96,4 +94,3 @@ val seq_end : t -> int
 (** Sequence number just past this packet's payload (SYN/FIN occupy one
     sequence number each, per TCP). *)
 
-val pp : Format.formatter -> t -> unit

@@ -5,12 +5,12 @@ let momentum = 0.9
 
 (* Shared, mutated only by apply_update on the calling domain.  Values are
    float32 (the storage the kernels read); velocity stays float64 so the
-   momentum recurrence matches the Reference oracle's arithmetic. *)
+   momentum recurrence matches the Stob_oracle.Nn arithmetic. *)
 type param = { value : Tensor.t; vel : float array }
 
 let make_param value = { value; vel = Array.make (Tensor.rows value * Tensor.cols value) 0.0 }
 
-(* Identical draw sequence to Reference.Layer.he_init: n samples in
+(* Identical draw sequence to Stob_oracle.Nn.Layer.he_init: n samples in
    row-major order, so a batched net built from the same seed holds the
    float32 rounding of the oracle's exact weights. *)
 let he_tensor rng ~rows ~cols ~fan_in =
@@ -201,7 +201,7 @@ let backward spec ctx g ~rows ~input ~dout =
         ~length:p.length ~factor:p.factor);
   din
 
-(* The Reference sgd_step recurrence, velocity in float64, value rounded
+(* The Stob_oracle.Nn sgd_step recurrence, velocity in float64, value rounded
    to float32 on store. *)
 let step p (g : float array) ~lr =
   let vd = Tensor.data p.value in

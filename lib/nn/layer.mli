@@ -1,12 +1,13 @@
 (** Batched neural-network layers over float32 {!Tensor}s.
 
-    The minibatch rebuild of the per-sample {!Reference.Layer}: each layer
-    is a value describing shared parameters (float32 weights, float64
-    momentum), and all mutable working state lives in an explicit per-shard
-    {!ctx}/{!grads} pair, so {!Network.fit} can run minibatch shards on
-    separate domains without sharing a mutable word.  Dense layers and the
-    im2col-lowered 1-D convolution run on {!Tensor.gemm}; every kernel
-    accumulates in float64 and rounds to float32 once on store.
+    The minibatch rebuild of the per-sample oracle [Stob_oracle.Nn.Layer]:
+    each layer is a value describing shared parameters (float32 weights,
+    float64 momentum), and all mutable working state lives in an explicit
+    per-shard {!ctx}/{!grads} pair, so {!Network.fit} can run minibatch
+    shards on separate domains without sharing a mutable word.  Dense
+    layers and the im2col-lowered 1-D convolution run on {!Tensor.gemm};
+    every kernel accumulates in float64 and rounds to float32 once on
+    store.
 
     Shapes and semantics mirror the reference exactly: batches are
     [rows x features] tensors whose rows are the channel-major per-sample

@@ -39,7 +39,7 @@ let forward_shard t st ~rows x =
 
 (* Softmax cross-entropy over the shard's logits: returns the summed loss
    and fills st.dlogits with p - onehot (the same expressions, per row, as
-   Reference.Network.train_sample). *)
+   Stob_oracle.Nn.Network.train_sample). *)
 let loss_and_dlogits st ~rows ~logits ~labels ~label_off =
   let k = Tensor.cols logits in
   let ld = Tensor.data logits and dd = Tensor.data st.dlogits in

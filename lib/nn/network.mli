@@ -1,6 +1,6 @@
 (** Batched sequential networks with softmax cross-entropy training.
 
-    The minibatch rebuild of {!Reference.Network} on float32 {!Tensor}
+    The minibatch rebuild of [Stob_oracle.Nn.Network] on float32 {!Tensor}
     batches: one forward/backward pass per minibatch {e shard} instead of
     per sample, with the shards of a batch run in parallel on a
     {!Stob_par.Pool}.
@@ -23,9 +23,6 @@ type t
 val create : Layer.t list -> t
 (** Raises [Invalid_argument] on an empty layer list. *)
 
-val n_classes : t -> int
-(** Output width of the last layer. *)
-
 val layers : t -> Layer.t list
 
 type progress = { epoch : int; mean_loss : float }
@@ -45,7 +42,7 @@ val fit :
 (** Shuffled minibatch SGD over the rows of [xs].  Defaults: 30 epochs,
     batch 16, lr 0.01 (divided by the batch size internally so gradients
     average), sequential pool.  Shuffle order, update schedule and loss
-    semantics mirror {!Reference.Network.fit} draw-for-draw. *)
+    semantics mirror [Stob_oracle.Nn.Network.fit] draw-for-draw. *)
 
 val logits_m : ?pool:Stob_par.Pool.t -> t -> Tensor.t -> Tensor.t
 (** Batched forward pass; row [i] of the result is sample [i]'s logits.

@@ -6,7 +6,7 @@
     buffer).  Storage is float32 but every kernel {e accumulates in
     float64} (OCaml's native [float]) and rounds once on store, which is
     what keeps the batched engine within a tight tolerance of the
-    float64 {!Reference} oracle.
+    float64 test-only oracle ([Stob_oracle.Nn]).
 
     {!sub_rows} and {!reshape} are zero-copy views: they alias the
     parent's storage, which is how minibatch shards and per-sample

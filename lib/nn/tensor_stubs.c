@@ -2,7 +2,7 @@
  *
  * Storage is float32 (the Tensor bigarrays); every kernel accumulates in
  * float64 and rounds once on store, matching the OCaml engine's contract
- * with the float64 Reference oracle.  Compiled with -O3 -march=native
+ * with the float64 oracle engine.  Compiled with -O3 -march=native
  * (plus -fassociative-math for the dot-product reductions), so gcc
  * vectorizes the inner loops; the instruction sequence is fixed per
  * binary, which is what the determinism / --jobs-invariance contract

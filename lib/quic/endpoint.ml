@@ -194,7 +194,6 @@ let set_on_stream t f = t.on_stream <- f
 let set_on_stream_fin t f = t.on_stream_fin <- f
 let set_hooks t h = t.hooks <- h
 let hooks t = t.hooks
-let cc t = t.cc
 let config t = t.config
 let inflight t = t.inflight
 let packets_sent t = t.packets_sent

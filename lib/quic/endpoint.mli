@@ -84,7 +84,6 @@ val send_padding_datagram : t -> int -> unit
 
 val set_hooks : t -> Stob_tcp.Hooks.t -> unit
 val hooks : t -> Stob_tcp.Hooks.t
-val cc : t -> Stob_tcp.Cc.t
 val config : t -> Stob_tcp.Config.t
 val receive : t -> Stob_net.Packet.t -> unit
 

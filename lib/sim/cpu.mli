@@ -40,5 +40,3 @@ val set_overload : t -> float -> unit
     [Invalid_argument] on a non-positive factor.  Used by the fault
     injector ({!Fault}). *)
 
-val overload : t -> float
-(** Current cost multiplier (1.0 when nominal). *)

@@ -13,7 +13,7 @@ type event_id
     disarms). *)
 
 exception Livelock of { time : float; events : int }
-(** Raised by {!step}/{!run} when more than the same-instant budget of
+(** Raised by {!run} when more than the same-instant budget of
     consecutive events execute without the clock advancing — the signature
     of a callback rescheduling itself with zero delay.  Without the budget
     such a bug hangs the process; with it, the hang becomes a structured,
@@ -40,9 +40,6 @@ val cancel : t -> event_id -> unit
 val run : ?until:float -> t -> unit
 (** Drain the event queue.  With [~until], stops once the next event lies
     strictly beyond [until] and sets the clock to [until]. *)
-
-val step : t -> bool
-(** Run exactly one event; [false] when the queue was empty. *)
 
 val pending : t -> int
 (** Number of scheduled (non-cancelled) events. *)

@@ -80,5 +80,4 @@ let send t frame =
 let frames_sent t = t.frames_sent
 let bytes_sent t = t.bytes_sent
 let drops t = t.drops
-let queue_bytes t = t.waiting_bytes
 let busy t = t.busy

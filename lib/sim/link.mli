@@ -47,8 +47,5 @@ val bytes_sent : 'a t -> int
 val drops : 'a t -> int
 (** Frames dropped at the queue. *)
 
-val queue_bytes : 'a t -> int
-(** Bytes currently waiting (excluding the frame being serialized). *)
-
 val busy : 'a t -> bool
 (** Whether a frame is currently being serialized. *)

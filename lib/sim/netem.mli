@@ -62,7 +62,6 @@ type stats = {
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 type 'a t
 

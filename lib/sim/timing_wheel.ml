@@ -83,7 +83,6 @@ let create ?(granularity = default_granularity) () =
     cursor = 0;
   }
 
-let granularity t = t.granularity
 let size t = t.len
 let is_empty t = t.len = 0
 

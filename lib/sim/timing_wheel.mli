@@ -1,35 +1,28 @@
 (** Hierarchical timing-wheel event queue with exact [(time, sequence)]
     ordering.
 
-    Drop-in replacement for the heap oracle ({!Heap_queue}): same API, same
-    pop sequence on every schedule — including same-instant bursts,
-    pushes at or before the current instant, and far-future timers — but
-    O(1) amortized per operation instead of O(log n), which is what makes
+    Drop-in replacement for the seed's binary heap (kept as the heap
+    oracle of the test-only [stob_oracle] library): same API, same pop
+    sequence on every schedule — including same-instant bursts, pushes at
+    or before the current instant, and far-future timers — but O(1)
+    amortized per operation instead of O(log n), which is what makes
     population-scale simulation affordable.  The [sim.wheel] differential
     battery and the [simperf] bench gate both properties.
 
-    Structure: {!levels} levels of 2^{!bits} slots each bucket events by
-    tick ([trunc (time / granularity)]); events whose tick is at or before
-    the cursor sit in a small exact-order binary heap, so tick
-    quantization never leaks into pop order.  Events beyond the
-    [2^(levels*bits)]-tick horizon (over an hour of simulated time at the
-    default granularity) wait in an overflow list and are re-placed when
-    the wheel drains past them. *)
+    Structure: 4 levels of 256 slots each bucket events by tick
+    ([trunc (time / granularity)]); events whose tick is at or before the
+    cursor sit in a small exact-order binary heap, so tick quantization
+    never leaks into pop order.  Events beyond the 2^32-tick horizon (over
+    twelve simulated days at the default granularity) wait in an overflow
+    list and are re-placed when the wheel drains past them. *)
 
 type 'a t
 
 val create : ?granularity:float -> unit -> 'a t
-(** [granularity] is the tick width in seconds, {!default_granularity}
-    unless given.  Ordering is exact for {e any} positive granularity;
-    granularity only tunes bucketing efficiency.  Raises
-    [Invalid_argument] on a non-positive granularity. *)
-
-val default_granularity : float
-(** 1e-6 s: fine enough that the TCP model's microsecond-scale timers
-    spread across slots, coarse enough that an hour of simulated time fits
-    inside the wheel horizon. *)
-
-val granularity : 'a t -> float
+(** [granularity] is the tick width in seconds, 256 µs unless given.
+    Ordering is exact for {e any} positive granularity; granularity only
+    tunes bucketing efficiency.  Raises [Invalid_argument] on a
+    non-positive granularity. *)
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Insert an element with priority [time].  Same-instant inserts pop in
@@ -44,7 +37,3 @@ val peek : 'a t -> (float * 'a) option
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val bits : int
-val levels : int
-(** Wheel geometry: [levels] levels of [2^bits] slots (documented for the
-    HACKING.md hot-path notes; not tunable at runtime). *)

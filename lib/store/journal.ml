@@ -171,7 +171,6 @@ let close t =
           t.fd <- None;
           t.vfs.Vfs.close fd)
 
-let path t = t.path
 let frames t = Mutex.protect t.mu (fun () -> t.frames)
 let retried t = Mutex.protect t.mu (fun () -> t.retried)
 

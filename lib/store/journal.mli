@@ -53,8 +53,6 @@ val append : t -> string -> unit
 val close : t -> unit
 (** Close the descriptor.  Idempotent. *)
 
-val path : t -> string
-
 val frames : t -> int
 (** Frames known to this handle: replayed at {!open_} plus successfully
     appended since. *)

@@ -129,12 +129,9 @@ val checkpoint : t -> compaction
 val maybe_checkpoint : ?threshold_bytes:int -> t -> compaction option
 (** Size-bounded auto-compaction for shard boundaries (Soak/Population):
     checkpoints only when the journal exceeds [threshold_bytes]
-    (default {!auto_checkpoint_bytes}) {e and} at least a quarter of its
+    (default 1 MiB) {e and} at least a quarter of its
     frames are stale — so journals stop growing monotonically without
     long sweeps re-copying their history at every boundary. *)
-
-val auto_checkpoint_bytes : int
-(** Default [maybe_checkpoint] threshold (1 MiB). *)
 
 val compact : ?vfs:Vfs.t -> ?retry:Journal.retry -> string -> compaction
 (** Offline compaction of a state directory ([stobctl compact]): open,

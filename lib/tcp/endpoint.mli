@@ -87,7 +87,6 @@ val set_on_fin : t -> (unit -> unit) -> unit
 
 val set_hooks : t -> Hooks.t -> unit
 val hooks : t -> Hooks.t
-val cc : t -> Cc.t
 
 (** {1 Path interface} *)
 
@@ -103,13 +102,9 @@ val notify_serialized : t -> Stob_net.Packet.t -> unit
 val inflight : t -> int
 (** Unacknowledged bytes in the network. *)
 
-val in_stack : t -> int
-(** Bytes submitted to CPU/NIC but not yet serialized (TSQ accounting). *)
-
 val unsent : t -> int
 (** Application bytes still queued in the socket buffer. *)
 
-val bytes_acked : t -> int
 val retransmissions : t -> int
 
 val fast_recoveries : t -> int
@@ -119,7 +114,6 @@ val fast_recoveries : t -> int
 val rto_events : t -> int
 (** Retransmission timeouts that actually fired recovery. *)
 
-val segments_sent : t -> int
 val packets_sent : t -> int
 
 val persist_probes : t -> int

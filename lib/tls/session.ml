@@ -2,7 +2,7 @@ type mode = User_tls | Ktls
 
 type t = {
   config : Record.config;
-  mutable padding : Record.padding;
+  padding : Record.padding;
   mode : mode;
   endpoint : Stob_tcp.Endpoint.t;
   mutable plaintext : int;
@@ -44,13 +44,8 @@ let flush t =
     t.ktls_pending <- 0
   end
 
-let set_padding t p = t.padding <- p
-let plaintext_sent t = t.plaintext
 let ciphertext_sent t = t.ciphertext
 
 let overhead_ratio t =
   if t.plaintext = 0 then 0.0
   else float_of_int (t.ciphertext - t.plaintext) /. float_of_int t.plaintext
-
-let handshake_wire_bytes _t ~client rng =
-  if client then Record.client_hello_bytes rng else Record.server_hello_bytes rng

@@ -25,14 +25,8 @@ val flush : t -> unit
 (** Emit any coalesced partial record ([Ktls] mode; no-op for [User_tls]).
     Servers flush at response boundaries. *)
 
-val set_padding : t -> Record.padding -> unit
-(** Change the padding policy mid-session (defenses adjust per object). *)
-
-val plaintext_sent : t -> int
 val ciphertext_sent : t -> int
 
 val overhead_ratio : t -> float
 (** (ciphertext - plaintext) / plaintext so far; [0.] before any send. *)
 
-val handshake_wire_bytes : t -> client:bool -> Stob_util.Rng.t -> int
-(** Size of this side's handshake flight (see {!Record} helpers). *)

@@ -26,15 +26,7 @@ val count : t -> int
 val bin_count : t -> int -> int
 (** Observations in bin [i]. *)
 
-val bins : t -> int
 val lo : t -> float
-val hi : t -> float
-
-val bin_edges : t -> int -> float * float
-(** [(left, right)] edges of bin [i]. *)
-
-val density : t -> float array
-(** Normalized bin masses (sums to 1; all zeros when empty). *)
 
 val sample : t -> Rng.t -> float
 (** Draw from the empirical distribution: pick a bin proportionally to its
@@ -48,5 +40,3 @@ val quantile : t -> float -> float
 val merge : t -> t -> t
 (** Pointwise sum; both histograms must share geometry. *)
 
-val pp : Format.formatter -> t -> unit
-(** Compact textual rendering (for logs and the policy-table dump). *)

@@ -1,14 +1,5 @@
 type kind = Html | Stylesheet | Script | Font | Image | Media | Api
 
-let kind_name = function
-  | Html -> "html"
-  | Stylesheet -> "css"
-  | Script -> "js"
-  | Font -> "font"
-  | Image -> "image"
-  | Media -> "media"
-  | Api -> "api"
-
 type t = { kind : kind; size : int; request_bytes : int; think : float }
 
 type page = { html : t; head_wave : t list; body_wave : t list }

@@ -7,8 +7,6 @@
 
 type kind = Html | Stylesheet | Script | Font | Image | Media | Api
 
-val kind_name : kind -> string
-
 type t = {
   kind : kind;
   size : int;  (** Response body bytes. *)

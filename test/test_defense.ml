@@ -4,6 +4,7 @@
 module Rng = Stob_util.Rng
 module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
+module Oracle = Stob_oracle.Hot_path
 open Stob_defense
 
 let ev time dir size = { Trace.time; dir; size }

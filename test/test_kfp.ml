@@ -5,6 +5,7 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 module Features = Stob_kfp.Features
 module Attack = Stob_kfp.Attack
+module Oracle = Stob_oracle.Hot_path
 
 let ev time dir size = { Trace.time; dir; size }
 let out = Packet.Outgoing
@@ -132,8 +133,9 @@ let test_attack_modes_agree_mostly () =
       ~n_classes:2 ~features:train_f ~labels:train_l ()
   in
   let test_f, _ = synthetic_dataset rng 20 in
-  let vote = Attack.predict_all attack ~mode:Attack.Forest_vote test_f in
-  let knn = Attack.predict_all attack ~mode:(Attack.Leaf_knn 3) test_f in
+  let m = Stob_ml.Matrix.of_rows test_f in
+  let vote = Attack.predict_all_m attack ~mode:Attack.Forest_vote m in
+  let knn = Attack.predict_all_m attack ~mode:(Attack.Leaf_knn 3) m in
   let agree = ref 0 in
   Array.iteri (fun i v -> if v = knn.(i) then incr agree) vote;
   Alcotest.(check bool) "modes mostly agree" true
@@ -152,13 +154,13 @@ let test_open_world_rule () =
   let test_f, test_l = synthetic_dataset rng 30 in
   let attributed = ref 0 and correct = ref 0 in
   Array.iteri
-    (fun i f ->
-      match Attack.predict_open_world attack ~k:3 f with
+    (fun i p ->
+      match p with
       | Some l ->
           incr attributed;
           if l = test_l.(i) then incr correct
       | None -> ())
-    test_f;
+    (Attack.predict_open_world_all attack ~k:3 (Stob_ml.Matrix.of_rows test_f));
   Alcotest.(check bool) "attributes a majority" true (!attributed > Array.length test_f / 2);
   (* Precision of attributed samples is high: the point of the rule. *)
   Alcotest.(check bool)

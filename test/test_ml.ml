@@ -2,6 +2,7 @@
 
 module Rng = Stob_util.Rng
 open Stob_ml
+module Reference = Stob_oracle.Forest
 
 (* A linearly separable 2-class toy problem in 2D. *)
 let toy_dataset rng n =
@@ -29,16 +30,18 @@ let test_tree_fits_training_data () =
   let rng = Rng.create 1 in
   let features, labels = toy_dataset rng 200 in
   let tree = Decision_tree.train ~rng ~n_classes:2 ~features ~labels () in
+  let m = Matrix.of_rows features in
   Array.iteri
-    (fun i f -> Alcotest.(check int) "training point" labels.(i) (Decision_tree.predict tree f))
-    features
+    (fun i l -> Alcotest.(check int) "training point" l (Decision_tree.predict_m tree m i))
+    labels
 
 let test_tree_generalizes () =
   let rng = Rng.create 2 in
   let features, labels = toy_dataset rng 400 in
   let tree = Decision_tree.train ~rng ~n_classes:2 ~features ~labels () in
   let test_f, test_l = toy_dataset rng 200 in
-  let predicted = Array.map (Decision_tree.predict tree) test_f in
+  let m = Matrix.of_rows test_f in
+  let predicted = Array.init (Matrix.n_rows m) (Decision_tree.predict_m tree m) in
   let acc = Eval.accuracy ~predicted ~actual:test_l in
   Alcotest.(check bool) (Printf.sprintf "accuracy %.2f > 0.9" acc) true (acc > 0.9)
 
@@ -56,28 +59,31 @@ let test_tree_pure_node_is_leaf () =
   let labels = Array.make 50 1 in
   let tree = Decision_tree.train ~rng ~n_classes:2 ~features ~labels () in
   Alcotest.(check int) "single leaf" 1 (Decision_tree.n_leaves tree);
-  Alcotest.(check int) "predicts the constant class" 1 (Decision_tree.predict tree [| 3.0 |])
+  Alcotest.(check int) "predicts the constant class" 1
+    (Decision_tree.predict_m tree (Matrix.of_rows [| [| 3.0 |] |]) 0)
 
 let test_tree_predict_dist_sums_to_one () =
   let rng = Rng.create 5 in
   let features, labels = grid_dataset rng 200 in
   let tree = Decision_tree.train ~rng ~n_classes:4 ~features ~labels () in
-  let dist = Decision_tree.predict_dist tree [| 0.5; 1.5 |] in
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 dist)
+  let leaves =
+    Decision_tree.fold tree
+      ~leaf:(fun ~id:_ ~label:_ ~dist -> [ dist ])
+      ~split:(fun ~feature:_ ~threshold:_ l r -> l @ r)
+  in
+  Alcotest.(check int) "one dist per leaf" (Decision_tree.n_leaves tree) (List.length leaves);
+  List.iter
+    (fun dist -> Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 dist))
+    leaves
 
 let test_tree_leaf_ids_distinct () =
   let rng = Rng.create 6 in
   let features, labels = grid_dataset rng 400 in
   let tree = Decision_tree.train ~rng ~n_classes:4 ~features ~labels () in
-  let ids =
-    List.sort_uniq compare
-      [
-        Decision_tree.leaf_id tree [| 0.5; 0.5 |];
-        Decision_tree.leaf_id tree [| 0.5; 1.5 |];
-        Decision_tree.leaf_id tree [| 1.5; 0.5 |];
-        Decision_tree.leaf_id tree [| 1.5; 1.5 |];
-      ]
+  let corners =
+    Matrix.of_rows [| [| 0.5; 0.5 |]; [| 0.5; 1.5 |]; [| 1.5; 0.5 |]; [| 1.5; 1.5 |] |]
   in
+  let ids = List.sort_uniq compare (List.init 4 (Decision_tree.leaf_id_m tree corners)) in
   Alcotest.(check int) "four distinct leaves" 4 (List.length ids)
 
 let test_tree_invalid_inputs () =
@@ -99,7 +105,7 @@ let test_forest_beats_chance_on_grid () =
       ~n_classes:4 ~features ~labels ()
   in
   let test_f, test_l = grid_dataset rng 200 in
-  let predicted = Array.map (Random_forest.predict forest) test_f in
+  let predicted = Random_forest.predict_all forest (Matrix.of_rows test_f) in
   let acc = Eval.accuracy ~predicted ~actual:test_l in
   Alcotest.(check bool) (Printf.sprintf "accuracy %.2f > 0.85" acc) true (acc > 0.85)
 
@@ -113,21 +119,9 @@ let test_forest_deterministic_given_seed () =
   in
   let a = train () and b = train () in
   let test_f, _ = grid_dataset rng 100 in
-  Array.iter
-    (fun f ->
-      Alcotest.(check int) "same predictions" (Random_forest.predict a f) (Random_forest.predict b f))
-    test_f
-
-let test_forest_proba_normalized () =
-  let rng = Rng.create 10 in
-  let features, labels = grid_dataset rng 200 in
-  let forest =
-    Random_forest.train
-      ~params:{ Random_forest.default_params with n_trees = 10 }
-      ~n_classes:4 ~features ~labels ()
-  in
-  let proba = Random_forest.predict_proba forest [| 0.5; 0.5 |] in
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 proba)
+  let m = Matrix.of_rows test_f in
+  Alcotest.(check (array int)) "same predictions" (Random_forest.predict_all a m)
+    (Random_forest.predict_all b m)
 
 let test_forest_fingerprint_shape () =
   let rng = Rng.create 11 in
@@ -138,7 +132,7 @@ let test_forest_fingerprint_shape () =
       ~n_classes:4 ~features ~labels ()
   in
   Alcotest.(check int) "one leaf per tree" 7
-    (Array.length (Random_forest.leaf_fingerprint forest [| 1.0; 1.0 |]))
+    (Array.length (Random_forest.leaf_fingerprint_m forest (Matrix.of_rows [| [| 1.0; 1.0 |] |]) 0))
 
 let test_forest_feature_importance () =
   let rng = Rng.create 12 in
@@ -243,12 +237,6 @@ let test_matrix_presorted () =
    leaf ids and distributions, same feature gains — on messy inputs full
    of duplicate and constant feature values, across the parameter grid. *)
 
-let shape_of_tree tree =
-  Decision_tree.fold tree
-    ~leaf:(fun ~id ~label ~dist -> Reference.Leaf { id; label; dist })
-    ~split:(fun ~feature ~threshold left right ->
-      Reference.Split { feature; threshold; left; right })
-
 let check_tree_parity ~msg ~params ~seed ~n_classes ~features ~labels =
   let oracle =
     Reference.train_tree ~params ~rng:(Rng.create seed) ~n_classes ~features ~labels ()
@@ -257,7 +245,7 @@ let check_tree_parity ~msg ~params ~seed ~n_classes ~features ~labels =
     Decision_tree.train ~params ~rng:(Rng.create seed) ~n_classes ~features ~labels ()
   in
   Alcotest.(check bool) (msg ^ ": structure") true
-    (compare (shape_of_tree tree) oracle.Reference.root = 0);
+    (compare (Reference.shape_of_tree tree) oracle.Reference.root = 0);
   Alcotest.(check bool) (msg ^ ": gains") true
     (compare (Decision_tree.feature_gains tree) oracle.Reference.gains = 0);
   Alcotest.(check int) (msg ^ ": n_leaves") oracle.Reference.n_leaves (Decision_tree.n_leaves tree);
@@ -326,17 +314,19 @@ let test_forest_matches_reference () =
       Alcotest.(check bool)
         (Printf.sprintf "tree %d structure" i)
         true
-        (compare (shape_of_tree trees.(i)) rt.Reference.root = 0))
+        (compare (Reference.shape_of_tree trees.(i)) rt.Reference.root = 0))
     oracle.Reference.trees;
   Alcotest.(check bool) "importance" true
     (compare (Random_forest.feature_importance forest) (Reference.forest_importance oracle) = 0);
   let test_f, _ = messy_dataset rng ~n:40 ~d:5 ~n_classes:3 in
-  Array.iter
-    (fun x ->
-      Alcotest.(check int) "prediction" (Reference.forest_predict oracle x)
-        (Random_forest.predict forest x);
+  let m = Matrix.of_rows test_f in
+  let predicted = Random_forest.predict_all forest m in
+  let fingerprints = Random_forest.leaf_fingerprints forest m in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check int) "prediction" (Reference.forest_predict oracle x) predicted.(i);
       Alcotest.(check bool) "fingerprint" true
-        (Reference.forest_fingerprint oracle x = Random_forest.leaf_fingerprint forest x))
+        (Reference.forest_fingerprint oracle x = fingerprints.(i)))
     test_f
 
 let test_forest_pool_invariant () =
@@ -352,24 +342,10 @@ let test_forest_pool_invariant () =
           Alcotest.(check bool)
             (Printf.sprintf "tree %d identical across domain counts" i)
             true
-            (compare (shape_of_tree a) (shape_of_tree (Random_forest.trees par).(i)) = 0))
+            (compare (Reference.shape_of_tree a)
+               (Reference.shape_of_tree (Random_forest.trees par).(i))
+            = 0))
         (Random_forest.trees seq))
-
-let test_batch_inference_matches_rowwise () =
-  let rng = Rng.create 51 in
-  let features, labels = messy_dataset rng ~n:60 ~d:4 ~n_classes:4 in
-  let forest =
-    Random_forest.train
-      ~params:{ Random_forest.default_params with n_trees = 9; seed = 7 }
-      ~n_classes:4 ~features ~labels ()
-  in
-  let test_f, _ = messy_dataset rng ~n:30 ~d:4 ~n_classes:4 in
-  let m = Matrix.of_rows test_f in
-  Alcotest.(check bool) "predict_all == predict" true
-    (Random_forest.predict_all forest m = Array.map (Random_forest.predict forest) test_f);
-  Alcotest.(check bool) "leaf_fingerprints == leaf_fingerprint" true
-    (Random_forest.leaf_fingerprints forest m
-    = Array.map (Random_forest.leaf_fingerprint forest) test_f)
 
 (* The end-to-end determinism contract: a cross-validated attack through
    Evalcommon must give bit-identical accuracies at --jobs 1 and --jobs 3
@@ -428,7 +404,7 @@ let prop_forest_predicts_known_class =
           ~params:{ Random_forest.default_params with n_trees = 5 }
           ~n_classes ~features ~labels ()
       in
-      let p = Random_forest.predict forest [| 0.5 |] in
+      let p = (Random_forest.predict_all forest (Matrix.of_rows [| [| 0.5 |] |])).(0) in
       p >= 0 && p < n_classes)
 
 let suite =
@@ -448,7 +424,6 @@ let suite =
       [
         Alcotest.test_case "beats chance on grid" `Quick test_forest_beats_chance_on_grid;
         Alcotest.test_case "deterministic given seed" `Quick test_forest_deterministic_given_seed;
-        Alcotest.test_case "proba normalized" `Quick test_forest_proba_normalized;
         Alcotest.test_case "fingerprint shape" `Quick test_forest_fingerprint_shape;
         Alcotest.test_case "feature importance" `Quick test_forest_feature_importance;
         q prop_forest_predicts_known_class;
@@ -473,8 +448,6 @@ let suite =
           test_tree_matches_reference_edges;
         Alcotest.test_case "forest == reference oracle" `Quick test_forest_matches_reference;
         Alcotest.test_case "forest invariant across domains" `Quick test_forest_pool_invariant;
-        Alcotest.test_case "batch inference == row-wise" `Quick
-          test_batch_inference_matches_rowwise;
         Alcotest.test_case "accuracy_cv jobs-invariant" `Slow test_accuracy_cv_jobs_invariant;
       ] );
     ( "ml.eval",

@@ -3,6 +3,7 @@
 module Packet = Stob_net.Packet
 module Trace = Stob_net.Trace
 module Capture = Stob_net.Capture
+module Oracle = Stob_oracle.Hot_path
 
 let ev time dir size = { Trace.time; dir; size }
 let out = Packet.Outgoing

@@ -1,4 +1,4 @@
-(* Tests for stob_nn: the per-sample float64 Reference oracle, the batched
+(* Tests for stob_nn: the per-sample float64 oracle (Stob_oracle.Nn), the batched
    float32 tensor engine that replaced it on the hot path (GEMM vs a naive
    oracle, finite-difference gradient checks, batched-vs-reference parity,
    --jobs bit-identity), and the DF-lite attack. *)
@@ -7,11 +7,11 @@ module Rng = Stob_util.Rng
 module Tensor = Stob_nn.Tensor
 module Layer = Stob_nn.Layer
 module Network = Stob_nn.Network
-module RL = Stob_nn.Reference.Layer
-module RN = Stob_nn.Reference.Network
+module RL = Stob_oracle.Nn.Layer
+module RN = Stob_oracle.Nn.Network
 module Dfnet = Stob_kfp.Dfnet
 
-(* --- the Reference oracle (the pre-batching engine, kept verbatim) ----- *)
+(* --- the oracle engine (the pre-batching engine, kept verbatim) -------- *)
 
 (* Numerical gradient check: compare analytic dLoss/dInput with central
    differences through an arbitrary layer stack. *)

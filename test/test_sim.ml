@@ -2,7 +2,7 @@
    link model. *)
 
 module Timing_wheel = Stob_sim.Timing_wheel
-module Heap_queue = Stob_sim.Heap_queue
+module Heap_queue = Stob_oracle.Heap_queue
 module Engine = Stob_sim.Engine
 module Cpu = Stob_sim.Cpu
 module Link = Stob_sim.Link
@@ -582,9 +582,9 @@ let test_wheel_push_during_pop () =
   Alcotest.(check bool) "push-during-pop differential" true (wheel_matches_heap ops)
 
 let test_wheel_far_future () =
-  (* 5e3 s at the default 1 µs granularity is beyond the 2^32-tick wheel
-     horizon: exercises the overflow list and the cursor rebase, with
-     near-term pushes interleaved after the far-future ones. *)
+  (* 1e7 s and 1e11 s at the default 256 µs granularity are beyond the
+     2^32-tick wheel horizon: exercises the overflow list and the cursor
+     rebase, with near-term pushes interleaved after the far-future ones. *)
   let ops =
     [
       WPush 0.1; WPush 4.0e3; WPop; WPush 5.0e3; WPush 1.0e7; WPush 2.5; WPop; WPush 1.0e11;

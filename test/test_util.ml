@@ -5,6 +5,7 @@ module Rng = Stob_util.Rng
 module Stats = Stob_util.Stats
 module Histogram = Stob_util.Histogram
 module Units = Stob_util.Units
+module Oracle = Stob_oracle.Hot_path
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose margin = Alcotest.(check (float margin))

@@ -1,5 +1,5 @@
 (* Deterministic random traces for the differential tests against
-   [Oracle]: sorted or not, with equal and near-equal (within 1e-7 s)
+   [Stob_oracle.Hot_path]: sorted or not, with equal and near-equal (within 1e-7 s)
    timestamps, one or both directions, and sizes on both sides of the
    1200 B split threshold. *)
 
